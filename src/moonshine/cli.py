@@ -9,6 +9,7 @@ strings, so consumers never face 64-bit overflow.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -337,9 +338,16 @@ def build_parser():
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    # Parsing leaves no state behind in the parser, and building one costs
+    # far more than a parse, so one parser serves every call in the process.
+    # Types run at parse time, so MOONSHINE_ELEMENT_CAP is still read per call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (modular.DomainError, sl2z.DegenerateBasis, monster.InsufficientData,

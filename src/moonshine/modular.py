@@ -75,41 +75,74 @@ def eisenstein_normalized(weight: int, order: int) -> ModularFormExpansion:
     return ModularFormExpansion(f"E{weight}", weight, LaurentSeries(coeffs))
 
 
+def _delta(e4_cubed: LaurentSeries, order: int) -> LaurentSeries:
+    """(E4^3 - E6^2)/1728 from a precomputed E4^3 on the same window."""
+    e6 = eisenstein_normalized(6, order).series
+    return (e4_cubed - e6**2) / 1728
+
+
 def discriminant(order: int) -> ModularFormExpansion:
     """The cusp form Delta = (E4^3 - E6^2)/1728 = q - 24q^2 + ..., to ``order``."""
     if order < 2:
         raise DomainError("order must be >= 2")
     e4 = eisenstein_normalized(4, order).series
-    e6 = eisenstein_normalized(6, order).series
-    return ModularFormExpansion("Delta", 12, (e4**3 - e6**2) / 1728)
+    return ModularFormExpansion("Delta", 12, _delta(e4**3, order))
+
+
+def _euler_terms(order: int) -> list[tuple[int, int]]:
+    """Nonzero terms (n, f_n), n >= 1, of prod_{n>=1} (1 - q^n) below q^order.
+
+    By Euler's pentagonal theorem they sit at k(3k-1)/2 and k(3k+1)/2 with
+    sign (-1)^k, k = 1, 2, ...; the list comes out sorted by exponent.
+    """
+    terms = []
+    k = 1
+    while k * (3 * k - 1) // 2 < order:
+        sign = -1 if k % 2 else 1
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if e < order:
+                terms.append((e, sign))
+        k += 1
+    return terms
 
 
 def eta_product_delta(order: int) -> LaurentSeries:
-    """Independent route to Delta: q * prod_{n=1..order} (1 - q^n)^24."""
+    """Independent route to Delta: q * prod_{n>=1} (1 - q^n)^24, to ``order``.
+
+    The 24th power of Euler's sparse pentagonal series comes from J.C.P.
+    Miller's recurrence n*p_n = sum_k (25k - n) f_k p_(n-k), so this route
+    shares no multiplication code with :func:`discriminant`.
+    """
     if order < 2:
         raise DomainError("order must be >= 2")
-    base = [0] * order
-    base[0] = 1
-    for n in range(1, order + 1):
-        for j in range(order - 1, n - 1, -1):
-            if base[j - n]:
-                base[j] -= base[j - n]
-    prod = LaurentSeries(base) ** 24
-    return prod.shift(1).truncate(order)
+    f = _euler_terms(order - 1)
+    p = [1]
+    for n in range(1, order - 1):
+        acc = 0
+        for k, fk in f:
+            if k > n:
+                break
+            acc += (25 * k - n) * fk * p[n - k]
+        pn, rem = divmod(acc, n)
+        if rem:
+            raise ArithmeticError(f"power recurrence left remainder {rem} at n = {n}")
+        p.append(pn)
+    return LaurentSeries(p, 1)
 
 
 def j_expansion(order: int) -> ModularFormExpansion:
     """The modular invariant J = E4^3 / Delta = q^-1 + 744 + 196884q + ...
 
     The returned series has valuation -1 and is determined through exponent
-    ``order - 1`` (truncation ``order``).
+    ``order - 1`` (truncation ``order``).  E4^3 is computed once and serves
+    both as the numerator and inside Delta.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
     base = order + 2
-    e4 = eisenstein_normalized(4, base).series
-    unit = discriminant(base).series.shift(-1)
-    return ModularFormExpansion("J", 0, ((e4**3) * unit.inverse()).shift(-1))
+    e4_cubed = eisenstein_normalized(4, base).series ** 3
+    unit = _delta(e4_cubed, base).shift(-1)
+    return ModularFormExpansion("J", 0, (e4_cubed * unit.inverse()).shift(-1))
 
 
 def j_normalized(order: int) -> ModularFormExpansion:

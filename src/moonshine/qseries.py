@@ -5,11 +5,20 @@ exponent window), two-variable series are sparse maps truncated to a
 rectangle of exponents.  Coefficients are plain ints or
 :class:`fractions.Fraction` values; nothing in this module ever touches
 floating point.
+
+One-variable products go through one kernel, :func:`_product`: a schoolbook
+loop when the shorter operand has fewer than ``KRONECKER_MIN_LEN``
+coefficients, and otherwise exact Kronecker substitution, which packs each
+operand into a single integer so that CPython's Karatsuba multiplies the
+whole series at once.  ``inverse`` solves the first ``KRONECKER_MIN_LEN``
+coefficients by the recurrence, then runs Newton iteration on that kernel,
+doubling the known prefix of the inverse every round.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 class ZeroLeadingCoefficient(ArithmeticError):
@@ -27,6 +36,8 @@ class RectangleMismatch(ValueError):
 def _norm(c):
     # Integral Fractions collapse to ints so integer pipelines stay on the
     # fast native path.  Floats are rejected outright.
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     if isinstance(c, int) and not isinstance(c, bool):
@@ -37,6 +48,77 @@ def _norm(c):
 def coeff_denominator(c) -> int:
     """Denominator of an exact coefficient (1 for plain ints)."""
     return c.denominator if isinstance(c, Fraction) else 1
+
+
+# Below this many coefficients in the shorter operand, the double loop beats
+# packing both operands into big integers, and the inverse's recurrence beats
+# Newton rounds.  With 40-bit coefficients on CPython 3.11 (2-core Xeon VM)
+# the loop took 26 vs 29 us at 16 coefficients and 72 vs 50 us at 32.
+KRONECKER_MIN_LEN = 24
+
+
+def _product(a, b, width):
+    """The first ``width`` coefficients of the product of two coefficient lists.
+
+    Short operands use the schoolbook loop.  Longer ones use Kronecker
+    substitution: denominators are cleared with their lcm, each operand is
+    packed into one integer whose base-2^(8*nb) digits are its coefficients,
+    the two integers are multiplied once, and the product's digits are read
+    back.  Every step is exact.
+    """
+    a, b = a[:width], b[:width]
+    if min(len(a), len(b)) < KRONECKER_MIN_LEN:
+        out = [0] * width
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(min(len(b), width - i)):
+                    bj = b[j]
+                    if bj:
+                        out[i + j] += ai * bj
+        return out
+    a, da = _integral(a)
+    b, db = _integral(b)
+    # |product digit| <= min(len) * max|a| * max|b| < 2^(8*nb - 1)
+    bits = (max(map(int.bit_length, a)) + max(map(int.bit_length, b))
+            + min(len(a), len(b)).bit_length() + 1)
+    nb = (bits + 7) // 8
+    out = _unpack(_pack(a, nb) * _pack(b, nb), width, nb)
+    if da * db != 1:
+        out = [Fraction(c, da * db) for c in out]
+    return out
+
+
+def _integral(coeffs):
+    """Integer coefficients and the common denominator they were scaled by."""
+    d = 1
+    for c in coeffs:
+        if type(c) is not int:
+            d = lcm(d, c.denominator)
+    if d == 1:
+        return coeffs, 1
+    return [c * d if type(c) is int else c.numerator * (d // c.denominator)
+            for c in coeffs], d
+
+
+def _pack(coeffs, nb):
+    """Sum of c_i * 2^(8*nb*i): the positive and negative parts go in separately."""
+    zero = bytes(nb)
+    pos = b"".join(c.to_bytes(nb, "little") if c > 0 else zero for c in coeffs)
+    neg = b"".join((-c).to_bytes(nb, "little") if c < 0 else zero for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(value, count, nb):
+    """The low ``count`` signed base-2^(8*nb) digits of ``value``.
+
+    Adding 2^(8*nb - 1) to each of those digits makes every one of them
+    nonnegative without a carry, so they can be read off the bytes.
+    """
+    half = 1 << (8 * nb - 1)
+    size = nb * count
+    value += int.from_bytes((bytes(nb - 1) + b"\x80") * count, "little")
+    raw = value.to_bytes(max(size, value.bit_length() // 8 + 1), "little", signed=True)
+    return [int.from_bytes(raw[i:i + nb], "little") - half for i in range(0, size, nb)]
 
 
 class LaurentSeries:
@@ -159,19 +241,7 @@ class LaurentSeries:
         if self.is_zero or other.is_zero:
             return LaurentSeries.zero(trunc)
         val = av + bv
-        width = trunc - val
-        out = [0] * width
-        a, b = self.coeffs, other.coeffs
-        for i, ai in enumerate(a):
-            if i >= width:
-                break
-            if ai == 0:
-                continue
-            for j in range(min(len(b), width - i)):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return LaurentSeries(out, val, trunc)
+        return LaurentSeries(_product(self.coeffs, other.coeffs, trunc - val), val, trunc)
 
     __rmul__ = __mul__
 
@@ -191,20 +261,20 @@ class LaurentSeries:
             raise ZeroLeadingCoefficient("series is zero up to its truncation")
         width = self.trunc - self.valuation
         u = self.coeffs
-        lead = u[0]
-        inv_lead = _norm(Fraction(1) / Fraction(lead))
-        out = [0] * width
-        out[0] = inv_lead
-        for k in range(1, width):
-            acc = 0
-            top = min(k, len(u) - 1)
-            for i in range(1, top + 1):
-                ui = u[i]
-                if ui:
-                    acc += ui * out[k - i]
-            if acc:
-                out[k] = -acc if lead == 1 else _norm(-Fraction(acc) / Fraction(lead))
-        return LaurentSeries(out, -self.valuation, self.trunc - 2 * self.valuation)
+        # The first coefficients come from the recurrence u_0 g_k = -(u_1 g_(k-1)
+        # + ... + u_k g_0): on operands this short it beats Newton rounds.
+        g = [_norm(Fraction(1) / Fraction(u[0]))]
+        n = min(width, KRONECKER_MIN_LEN)
+        for k in range(1, n):
+            g.append(_norm(-sum(u[i] * g[k - i] for i in range(1, k + 1)) * g[0]))
+        # Newton: if u*g = 1 + q^n*r mod q^2n, then g*(2 - u*g) = g - q^n*(g*r)
+        # inverts u mod q^2n, so the known prefix doubles every round.
+        while n < width:
+            m = min(2 * n, width)
+            r = _product(u, g, m)[n:]
+            g += [-c for c in _product(g, r, m - n)]
+            n = m
+        return LaurentSeries(g, -self.valuation, self.trunc - 2 * self.valuation)
 
     def __pow__(self, e):
         if not isinstance(e, int):

@@ -218,3 +218,38 @@ def test_json_integers_are_strings(capsys):
     record = json.loads(machine)
     assert isinstance(record["order"], str)
     assert record["order_digits"] == "54"
+
+
+def _run_sequence(capsys, argvs, fresh):
+    outcomes = []
+    for argv in argvs:
+        if fresh:
+            cli._parser.cache_clear()
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+def test_parser_reused_after_usage_error(capsys):
+    # one parser serves the whole process; a usage error (exit 2) on it
+    # must leave nothing behind that changes the next call's output
+    argvs = [["j", "--order", "x"], ["j", "--order", "3"],
+             ["group", "--name", "C12"], ["group", "--name", "C12", "--action", "factors"],
+             ["nonsense"], ["delta", "--order", "4", "--json"]]
+    shared = _run_sequence(capsys, argvs, fresh=False)
+    assert cli._parser() is cli._parser()
+    assert shared == _run_sequence(capsys, argvs, fresh=True)
+    assert [code for code, _, _ in shared] == [2, 0, 2, 0, 2, 0]
+
+
+def test_element_cap_env_read_per_call(capsys, monkeypatch):
+    monkeypatch.delenv("MOONSHINE_ELEMENT_CAP", raising=False)
+    assert run_cli(capsys, "group", "--name", "C12", "--action", "factors")[0] == 0
+    monkeypatch.setenv("MOONSHINE_ELEMENT_CAP", "5")
+    assert run_cli(capsys, "group", "--name", "C12", "--action", "factors")[0] == 2
+    monkeypatch.delenv("MOONSHINE_ELEMENT_CAP")
+    assert run_cli(capsys, "group", "--name", "C12", "--action", "factors")[0] == 0

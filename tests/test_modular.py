@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from moonshine import modular
 from moonshine.modular import (
     DomainError,
     bernoulli,
@@ -105,6 +106,38 @@ def test_eta_product_head():
 def test_discriminant_equals_eta_product():
     order = 120
     assert discriminant(order).series == eta_product_delta(order)
+
+
+def test_euler_terms_match_dense_product():
+    # the pentagonal terms against prod (1 - q^n) multiplied out term by term
+    order = 200
+    dense = [1] + [0] * (order - 1)
+    for n in range(1, order):
+        for j in range(order - 1, n - 1, -1):
+            dense[j] -= dense[j - n]
+    sparse = [0] * order
+    sparse[0] = 1
+    for e, c in modular._euler_terms(order):
+        sparse[e] = c
+    assert sparse == dense
+
+
+def test_eta_product_small_orders():
+    for order in range(2, 40):
+        assert eta_product_delta(order) == discriminant(order).series
+
+
+def test_j_expansion_builds_e4_once(monkeypatch):
+    calls = []
+    real = modular.eisenstein_normalized
+
+    def counting(weight, order):
+        calls.append(weight)
+        return real(weight, order)
+
+    monkeypatch.setattr(modular, "eisenstein_normalized", counting)
+    j_expansion(30)
+    assert sorted(calls) == [4, 6]
 
 
 def test_j_head_values():

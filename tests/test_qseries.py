@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from moonshine import qseries
 from moonshine.qseries import (
+    KRONECKER_MIN_LEN,
     BiLaurentSeries,
     LaurentSeries,
     RectangleMismatch,
@@ -118,6 +120,125 @@ def _long_division_inverse(a):
     return LaurentSeries(quotient, -a.valuation)
 
 
+def _schoolbook_mul(a, b):
+    """Oracle: the plain double loop over both coefficient windows."""
+    av, bv = a.valuation, b.valuation
+    trunc = min(a.trunc + bv, b.trunc + av)
+    if a.is_zero or b.is_zero:
+        return LaurentSeries.zero(trunc)
+    width = trunc - av - bv
+    out = [0] * width
+    for i, ai in enumerate(a.coeffs[:width]):
+        for j, bj in enumerate(b.coeffs[: width - i]):
+            out[i + j] += ai * bj
+    return LaurentSeries(out, av + bv, trunc)
+
+
+def _edge_coefficient(rng, max_bits):
+    """A signed coefficient, often sitting on a byte boundary of its size."""
+    k = rng.randint(1, max(1, max_bits // 8))
+    magnitude = rng.choice([
+        0, 1, rng.getrandbits(rng.randint(1, max_bits)),
+        2 ** (8 * k - 1), 2 ** (8 * k) - 1, 2 ** (8 * k), 2 ** (8 * k - 1) - 1,
+    ])
+    return rng.choice([1, -1]) * magnitude
+
+
+def _wide_series(rng, width, max_bits, fractions=False):
+    coeffs = [_edge_coefficient(rng, max_bits) for _ in range(width)]
+    coeffs[0] = coeffs[0] or 1
+    if fractions:
+        # pairwise coprime denominators, so the common one is their product
+        dens = [1, 2, 3, 5, 7, 691, 2**61 - 1]
+        coeffs = [Fraction(c, rng.choice(dens)) for c in coeffs]
+    return LaurentSeries(coeffs, rng.randint(-5, 5))
+
+
+def test_mul_matches_schoolbook_across_crossover():
+    # every width from 1 to past the crossover, so both kernels and the
+    # switch between them run, with coefficients up to about 2000 bits
+    assert KRONECKER_MIN_LEN > 1
+    rng = random.Random(20261018)
+    for wa in range(1, 2 * KRONECKER_MIN_LEN + 8):
+        wb = rng.randint(1, 2 * KRONECKER_MIN_LEN + 8)
+        bits = rng.choice([8, 64, 300, 2000])
+        a, b = _wide_series(rng, wa, bits), _wide_series(rng, wb, bits)
+        prod = a * b
+        assert prod == _schoolbook_mul(a, b)
+        assert all(type(c) is int for c in prod.coeffs)
+
+
+def test_mul_matches_schoolbook_wide_windows():
+    rng = random.Random(7)
+    for width, bits in [(64, 2000), (97, 40), (128, 800), (200, 16), (256, 2000),
+                        (300, 120)]:
+        a = _wide_series(rng, width, bits)
+        b = _wide_series(rng, rng.randint(KRONECKER_MIN_LEN, width), bits)
+        assert a * b == _schoolbook_mul(a, b)
+        assert b * a == _schoolbook_mul(a, b)
+
+
+def test_mul_worst_case_digits():
+    # every product digit at its largest magnitude: the packed digit width
+    # must still hold it whatever the operand bit lengths are modulo 8
+    for n in (KRONECKER_MIN_LEN, 127):
+        for bits_a in range(1, 18):
+            for bits_b in (bits_a, bits_a + 3):
+                top_a, top_b = 2**bits_a - 1, 2**bits_b - 1
+                for sign in (1, -1):
+                    a = LaurentSeries([top_a] * n)
+                    b = LaurentSeries([sign * top_b] * n, -2)
+                    assert a * b == _schoolbook_mul(a, b)
+                alternating = LaurentSeries([(-1) ** i * 2**bits_a for i in range(n)])
+                assert alternating * b == _schoolbook_mul(alternating, b)
+    for top in (2**2000 - 1, 2**1999, -(2**2000)):
+        a = LaurentSeries([top] * 64)
+        assert a * a == _schoolbook_mul(a, a)
+
+
+def test_mul_fraction_coefficients():
+    rng = random.Random(3)
+    for width in (5, KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN, 60, 150):
+        a = _wide_series(rng, width, 200, fractions=True)
+        b = _wide_series(rng, width + rng.randint(-3, 3), 200, fractions=True)
+        prod = a * b
+        assert prod == _schoolbook_mul(a, b)
+        # integral coefficients come back as ints, like every other route
+        assert all(type(c) is int or c.denominator > 1 for c in prod.coeffs)
+        mixed = LaurentSeries([Fraction(1, 3)] + [3] * (width - 1), -1)
+        assert mixed * a == _schoolbook_mul(mixed, a)
+
+
+def test_mul_zero_operands_and_valuations():
+    rng = random.Random(1)
+    for width in (1, KRONECKER_MIN_LEN, 80):
+        a = _wide_series(rng, width, 100)
+        z = LaurentSeries.zero(rng.randint(-4, 90))
+        assert a * z == _schoolbook_mul(a, z)
+        assert z * a == _schoolbook_mul(z, a)
+        shifted = a.shift(rng.randint(-9, 9))
+        b = LaurentSeries([0, 0] + [rng.randint(-9, 9) for _ in range(width)], 3)
+        assert shifted * b == _schoolbook_mul(shifted, b)
+
+
+def test_product_kernel_short_and_long_windows():
+    # below len(a) + len(b) - 1 the product is cut; above it the tail is zero
+    rng = random.Random(11)
+    for la, lb in [(1, 1), (3, 40), (30, 30), (70, 45)]:
+        a = [_edge_coefficient(rng, 500) for _ in range(la)]
+        b = [_edge_coefficient(rng, 500) for _ in range(lb)]
+        full = [0] * (la + lb - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                full[i + j] += ai * bj
+        for width in (1, min(la, lb), la + lb - 2, la + lb - 1, la + lb + 5):
+            if width < 1:
+                continue
+            expect = (full + [0] * width)[:width]
+            assert qseries._product(a, b, width) == expect
+            assert qseries._product(tuple(b), tuple(a), width) == expect
+
+
 def test_invert_geometric():
     inv = series([1, -1, 0, 0, 0, 0]).inverse()
     assert inv.coefficient_list() == [1, 1, 1, 1, 1, 1]
@@ -137,6 +258,30 @@ def test_invert_discriminant_head_against_long_division():
     assert inv.coefficient(0) == 24
     assert inv.coefficient(1) == 324
     assert (delta * inv) == LaurentSeries.one((delta * inv).trunc)
+
+
+def test_newton_inverse_matches_long_division():
+    rng = random.Random(20261018)
+    leads = [1, -1, 2, 691, Fraction(3, 7), Fraction(-5, 2)]
+    widths = [1, 2, 3, 7, KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN,
+              2 * KRONECKER_MIN_LEN + 1, 100]
+    for lead in leads:
+        for width in widths:
+            coeffs = [lead] + [rng.randint(-10**6, 10**6) for _ in range(width - 1)]
+            a = LaurentSeries(coeffs, rng.randint(-3, 3))
+            inv = a.inverse()
+            assert inv == _long_division_inverse(a)
+            if lead in (1, -1):
+                assert all(type(c) is int for c in inv.coeffs)
+            prod = a * inv
+            assert prod == LaurentSeries.one(prod.trunc)
+
+
+def test_newton_inverse_fraction_coefficients():
+    rng = random.Random(5)
+    for width in (5, 40, 90):
+        a = _wide_series(rng, width, 60, fractions=True)
+        assert a.inverse() == _long_division_inverse(a)
 
 
 def test_invert_zero_raises():
