@@ -10,9 +10,7 @@ One-variable products go through one kernel, :func:`_product`: a schoolbook
 loop when the shorter operand has fewer than ``KRONECKER_MIN_LEN``
 coefficients, and otherwise exact Kronecker substitution, which packs each
 operand into a single integer so that CPython's Karatsuba multiplies the
-whole series at once.  ``inverse`` solves the first ``KRONECKER_MIN_LEN``
-coefficients by the recurrence, then runs Newton iteration on that kernel,
-doubling the known prefix of the inverse every round.
+whole series at once.
 """
 
 from __future__ import annotations
@@ -51,9 +49,9 @@ def coeff_denominator(c) -> int:
 
 
 # Below this many coefficients in the shorter operand, the double loop beats
-# packing both operands into big integers, and the inverse's recurrence beats
-# Newton rounds.  With 40-bit coefficients on CPython 3.11 (2-core Xeon VM)
-# the loop took 26 vs 29 us at 16 coefficients and 72 vs 50 us at 32.
+# packing both operands into big integers.  With 40-bit coefficients on
+# CPython 3.11 (2-core Xeon VM) the loop took 26 vs 29 us at 16 coefficients
+# and 72 vs 50 us at 32.
 KRONECKER_MIN_LEN = 24
 
 
@@ -89,15 +87,15 @@ def _product(a, b, width):
 
 
 def _integral(coeffs):
-    """Integer coefficients and the common denominator they were scaled by."""
-    d = 1
-    for c in coeffs:
-        if type(c) is not int:
-            d = lcm(d, c.denominator)
-    if d == 1:
+    """Integer coefficients and the common denominator they were scaled by.
+
+    Any non-int entry is rebuilt, whole Fractions included: the packing step
+    needs plain ints.
+    """
+    if all(type(c) is int for c in coeffs):
         return coeffs, 1
-    return [c * d if type(c) is int else c.numerator * (d // c.denominator)
-            for c in coeffs], d
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def _pack(coeffs, nb):
@@ -112,12 +110,13 @@ def _unpack(value, count, nb):
     """The low ``count`` signed base-2^(8*nb) digits of ``value``.
 
     Adding 2^(8*nb - 1) to each of those digits makes every one of them
-    nonnegative without a carry, so they can be read off the bytes.
+    nonnegative without a carry, so once the higher digits are masked off
+    they can be read off the bytes.
     """
     half = 1 << (8 * nb - 1)
     size = nb * count
     value += int.from_bytes((bytes(nb - 1) + b"\x80") * count, "little")
-    raw = value.to_bytes(max(size, value.bit_length() // 8 + 1), "little", signed=True)
+    raw = (value & ((1 << 8 * size) - 1)).to_bytes(size, "little")
     return [int.from_bytes(raw[i:i + nb], "little") - half for i in range(0, size, nb)]
 
 
@@ -261,19 +260,10 @@ class LaurentSeries:
             raise ZeroLeadingCoefficient("series is zero up to its truncation")
         width = self.trunc - self.valuation
         u = self.coeffs
-        # The first coefficients come from the recurrence u_0 g_k = -(u_1 g_(k-1)
-        # + ... + u_k g_0): on operands this short it beats Newton rounds.
+        # u_0 g_k = -(u_1 g_(k-1) + ... + u_k g_0), solved term by term
         g = [_norm(Fraction(1) / Fraction(u[0]))]
-        n = min(width, KRONECKER_MIN_LEN)
-        for k in range(1, n):
+        for k in range(1, width):
             g.append(_norm(-sum(u[i] * g[k - i] for i in range(1, k + 1)) * g[0]))
-        # Newton: if u*g = 1 + q^n*r mod q^2n, then g*(2 - u*g) = g - q^n*(g*r)
-        # inverts u mod q^2n, so the known prefix doubles every round.
-        while n < width:
-            m = min(2 * n, width)
-            r = _product(u, g, m)[n:]
-            g += [-c for c in _product(g, r, m - n)]
-            n = m
         return LaurentSeries(g, -self.valuation, self.trunc - 2 * self.valuation)
 
     def __pow__(self, e):

@@ -237,6 +237,8 @@ def test_product_kernel_short_and_long_windows():
             expect = (full + [0] * width)[:width]
             assert qseries._product(a, b, width) == expect
             assert qseries._product(tuple(b), tuple(a), width) == expect
+            # unnormalized Fractions with denominator 1 pack like ints
+            assert qseries._product([Fraction(c) for c in a], b, width) == expect
 
 
 def test_invert_geometric():
@@ -260,7 +262,7 @@ def test_invert_discriminant_head_against_long_division():
     assert (delta * inv) == LaurentSeries.one((delta * inv).trunc)
 
 
-def test_newton_inverse_matches_long_division():
+def test_inverse_matches_long_division():
     rng = random.Random(20261018)
     leads = [1, -1, 2, 691, Fraction(3, 7), Fraction(-5, 2)]
     widths = [1, 2, 3, 7, KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN,
@@ -277,11 +279,14 @@ def test_newton_inverse_matches_long_division():
             assert prod == LaurentSeries.one(prod.trunc)
 
 
-def test_newton_inverse_fraction_coefficients():
+def test_inverse_fraction_coefficients():
     rng = random.Random(5)
     for width in (5, 40, 90):
         a = _wide_series(rng, width, 60, fractions=True)
         assert a.inverse() == _long_division_inverse(a)
+    # a round trip through a Fraction series comes back exactly
+    p = LaurentSeries([1, Fraction(1, 2)] + [0] * (2 * KRONECKER_MIN_LEN + 2))
+    assert p.inverse().inverse() == p
 
 
 def test_invert_zero_raises():
