@@ -54,7 +54,6 @@ from .groups import (
     OrderTooLarge,
     Perm,
     PermGroup,
-    TooManyClasses,
     alternating_group,
     class_fn_inner,
     class_indicator,

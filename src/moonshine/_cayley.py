@@ -1,0 +1,224 @@
+"""Index core of :mod:`moonshine.groups`: a Cayley table, and the normal
+subgroup lattice on integer indices.
+
+Elements are indexed in sorted ``Perm`` order, so the identity is 0 and
+sorted index sets order like the element sets they stand for.  The table
+is filled by breadth-first search over left multiplication by the
+generators: that takes order x #generators ``Perm`` products, and every
+other row is its BFS parent's row mapped through one generator's row.
+Subgroups grow coset by coset (Dimino's algorithm), and two normal
+subgroups join as their product set AB.  ``PermGroup`` builds one table
+per group on first use and converts to and from frozensets of ``Perm`` at
+its public methods.
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import combinations
+from operator import itemgetter
+
+from .groups import NotASubgroup
+
+
+def _divisors(n):
+    out = []
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            out.append(d)
+            if d * d != n:
+                out.append(n // d)
+    return sorted(out)
+
+
+def _take(seq, idx):
+    """``tuple(seq[i] for i in idx)`` for a non-empty tuple ``idx``, at C speed."""
+    if len(idx) > 1:
+        return itemgetter(*idx)(seq)
+    return (seq[idx[0]],)
+
+
+class CayleyTable:
+    """Cayley table of a finite group, on integer indices.
+
+    ``elems[i]`` is the i-th element in sorted ``Perm`` order,
+    ``mul[x][y]`` indexes ``elems[x] * elems[y]`` and ``inv[x]`` indexes
+    the inverse of ``elems[x]``.  Subgroups are frozensets of indices.
+    """
+
+    def __init__(self, elements, generators):
+        n = len(elements)
+        elems = sorted(elements)
+        index = {p: i for i, p in enumerate(elems)}
+        gens = sorted({index[g] for g in generators} - {0})
+        # left[s][z] indexes elems[s] * elems[z]: the only Perm products taken.
+        left = {s: [index[elems[s] * p] for p in elems] for s in gens}
+        mul = [None] * n
+        mul[0] = tuple(range(n))
+        tree = []
+        queue = [0]
+        for x in queue:
+            for s in gens:
+                y = left[s][x]
+                if mul[y] is None:
+                    # (s x) y = s (x y): the row of s x is the row of x mapped by s.
+                    mul[y] = _take(left[s], mul[x])
+                    tree.append((y, x, s))
+                    queue.append(y)
+        gen_inv = {s: left[s].index(0) for s in gens}
+        inv = [0] * n
+        for y, x, s in tree:
+            inv[y] = mul[inv[x]][gen_inv[s]]  # (s x)^-1 = x^-1 s^-1
+        self.elems, self.index, self.mul, self.inv = elems, index, mul, inv
+        self.all = frozenset(range(n))
+        self._gens = {self.all: tuple(gens)}
+        self._orders = {}
+        self._perms = {self.all: elements}
+        self._indices = {elements: self.all}
+
+    def perms(self, s):
+        """The element set that the index set ``s`` stands for."""
+        out = self._perms.get(s)
+        if out is None:
+            out = self._perms[s] = frozenset(_take(self.elems, tuple(s)))
+            self._indices[out] = s
+        return out
+
+    def indices(self, subset):
+        """The index set of the element set ``subset``."""
+        out = self._indices.get(subset)
+        if out is None:
+            try:
+                out = frozenset(self.index[p] for p in subset)
+            except KeyError:
+                raise NotASubgroup("element set is not inside the group") from None
+            self._indices[subset] = out
+        return out
+
+    def grow(self, have, gens, new, stop=None):
+        """Extend the subgroup ``have`` = <gens>, in place, by each element of
+        ``new`` in turn, stopping once it has ``stop`` elements; returns the
+        generators used.
+
+        Each step is Dimino's: the larger group is a union of left cosets
+        t H of the group H before the step, found from the coset
+        representatives times the generators.
+        """
+        mul = self.mul
+        gens = list(gens)
+        for x in new:
+            if x in have:
+                continue
+            gens.append(x)
+            members = tuple(have)
+            reps = [0]
+            for r in reps:
+                for g in gens:
+                    t = mul[g][r]
+                    if t not in have:
+                        have.update(_take(mul[t], members))
+                        reps.append(t)
+            if len(have) == stop:
+                break
+        return gens
+
+    def generators(self, s):
+        """A small generating set of the subgroup ``s``, greedy in index order."""
+        gens = self._gens.get(s)
+        if gens is None:
+            gens = self._gens[s] = tuple(self.grow({0}, (), sorted(s), stop=len(s)))
+        return gens
+
+    def classes(self, seeds, gens):
+        """Orbits under conjugation by ``gens`` of the elements ``seeds``."""
+        mul, inv = self.mul, self.inv
+        conj = [(mul[g], inv[g]) for g in gens]
+        seen, orbits = set(), []
+        for x in seeds:
+            if x in seen:
+                continue
+            orbit, frontier = {x}, [x]
+            for y in frontier:
+                for row, gi in conj:
+                    z = mul[row[y]][gi]
+                    if z not in orbit:
+                        orbit.add(z)
+                        frontier.append(z)
+            seen |= orbit
+            orbits.append(orbit)
+        return orbits
+
+    def is_normal_in(self, sub, s):
+        """Whether ``sub`` is stable under conjugation by the generators of ``s``."""
+        mul, inv = self.mul, self.inv
+        for g in self.generators(s):
+            row, gi = mul[g], inv[g]
+            if any(mul[row[x]][gi] not in sub for x in sub):
+                return False
+        return True
+
+    def is_abelian_over(self, s, sub):
+        """Whether s/sub is abelian: every commutator of generators of s lies in sub."""
+        mul, inv = self.mul, self.inv
+        return all(mul[mul[mul[a][b]][inv[a]]][inv[b]] in sub
+                   for a, b in combinations(self.generators(s), 2))
+
+    def element_order(self, x):
+        order = self._orders.get(x)
+        if order is None:
+            row, power, order = self.mul[x], x, 1
+            while power:
+                power = row[power]
+                order += 1
+            self._orders[x] = order
+        return order
+
+    def product(self, a, b):
+        """The product set AB of two normal subgroups, which is their join."""
+        mul = self.mul
+        have = set(b)
+        members = tuple(b)
+        for x in a:
+            if x not in have:
+                have.update(_take(mul[x], members))
+        return frozenset(have)
+
+    def lattice(self, s):
+        """All normal subgroups of the subgroup ``s``, by order, then by indices.
+
+        Every normal subgroup is a join of normal closures of single
+        conjugacy classes, so the lattice is the join-closure of those
+        generators.  Cyclic groups take a direct path through their divisor
+        lattice.
+        """
+        n = len(s)
+        if n == 1:
+            return [s]
+        gen = next((x for x in s if self.element_order(x) == n), None)
+        if gen is not None:
+            powers = [0]
+            for _ in range(n - 1):
+                powers.append(self.mul[powers[-1]][gen])
+            return [frozenset(powers[:: n // d]) for d in _divisors(n)]
+        closures = set()
+        for cls in self.classes(s, self.generators(s)):
+            have = {0}
+            self.grow(have, (), cls)
+            closures.add(frozenset(have))
+        normals = {frozenset({0})} | closures
+        worklist = list(closures)
+        while worklist:
+            a = worklist.pop()
+            for b in list(normals):
+                if a <= b or b <= a:
+                    continue
+                join = self.product(a, b)
+                if join not in normals:
+                    normals.add(join)
+                    worklist.append(join)
+        return sorted(normals, key=lambda t: (len(t), sorted(t)))
+
+    def maximal_normals(self, s):
+        proper = [t for t in self.lattice(s) if len(t) < len(s)]
+        return [t for t in proper
+                if not any(len(u) > len(t) and t < u for u in proper)]

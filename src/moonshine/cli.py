@@ -352,7 +352,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (modular.DomainError, sl2z.DegenerateBasis, monster.InsufficientData,
             monster.InsufficientCoefficients, UnknownCoefficient,
-            groups.CapExceeded, groups.TooManyClasses, ValueError, OSError) as exc:
+            groups.CapExceeded, groups.OrderTooLarge, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

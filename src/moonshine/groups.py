@@ -1,11 +1,21 @@
 """Small finite permutation groups: conjugacy classes, normal subgroups,
 quotients, composition series and Jordan-Hoelder factor multisets.
 
-Everything enumerates elements explicitly, which is fine for the group sizes
-this package cares about (a few hundred elements; the hard cap defaults to
-100000).  Composition-series factors are identified by (order, abelian,
-simple): a valid isomorphism-type proxy for simple groups below order 20160,
-where the first order collision between non-isomorphic simple groups occurs.
+Elements are enumerated explicitly, by closure under the generators.  The
+structure queries (normal subgroups, simplicity, composition series and
+their factors) then run on integer indices, over a Cayley table that each
+group builds on first use by breadth-first search over its generators
+(:mod:`moonshine._cayley`).  Public methods still take and return
+frozensets of ``Perm``.  Conjugacy classes stay on ``Perm``s, so groups too
+large for a table (S8) still answer them.
+
+Two budgets raise ``CapExceeded`` before memory runs out: ``CLOSURE_LIMIT``
+bounds elements x degree while enumerating, and ``TABLE_LIMIT`` bounds the
+table's order^2 entries.  The per-group ``element_cap`` (default 100000)
+applies as well.  Composition-series factors are identified by (order,
+abelian, simple): a valid isomorphism-type proxy for simple groups below
+order 20160, where the first order collision between non-isomorphic simple
+groups occurs.
 """
 
 from __future__ import annotations
@@ -13,10 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 
 class CapExceeded(RuntimeError):
-    """Enumeration grew past the configured element cap."""
+    """Enumeration or a Cayley table would pass an element cap or budget."""
 
 
 class NotASubgroup(ValueError):
@@ -25,10 +36,6 @@ class NotASubgroup(ValueError):
 
 class NotNormal(ValueError):
     """The given subgroup is not normal."""
-
-
-class TooManyClasses(RuntimeError):
-    """Too many conjugacy classes for class-union subset enumeration."""
 
 
 class OrderTooLarge(RuntimeError):
@@ -40,6 +47,11 @@ class ClassMismatch(ValueError):
 
 
 JH_ORDER_LIMIT = 20160  # first order shared by non-isomorphic simple groups
+# Elements x degree while enumerating: 2^24 tuple slots, about 130 MB.
+# C4000 (16.0M) fits; C20000 would need about 3.2 GB.
+CLOSURE_LIMIT = 2 ** 24
+# Cayley table entries, order^2: S7 (25.4M) fits, A8 (406M) does not.
+TABLE_LIMIT = 2 ** 25
 
 
 class Perm:
@@ -78,9 +90,11 @@ class Perm:
         return len(self.images)
 
     def __mul__(self, other):
-        # (p * q)(i) = p(q(i))
-        p = self.images
-        return Perm._raw(tuple(p[j] for j in other.images))
+        # (p * q)(i) = p(q(i)), composed at C speed by itemgetter
+        q = other.images
+        if len(q) > 1:
+            return Perm._raw(itemgetter(*q)(self.images))
+        return Perm._raw(self.images)
 
     def inverse(self):
         inv = [0] * len(self.images)
@@ -137,7 +151,13 @@ class Perm:
 
 
 def _closure(gens, degree, cap=None):
-    """Subgroup generated by ``gens``: breadth-first closure under products."""
+    """Subgroup generated by ``gens``: breadth-first closure under products.
+
+    Raises CapExceeded past ``cap`` elements, or once elements x degree
+    would pass CLOSURE_LIMIT.
+    """
+    room = CLOSURE_LIMIT // max(degree, 1)
+    bound = room if cap is None else min(cap, room)
     ident = Perm.identity(degree)
     elems = {ident}
     frontier = [ident]
@@ -148,28 +168,16 @@ def _closure(gens, degree, cap=None):
             for g in gens:
                 y = x * g
                 if y not in elems:
-                    if cap is not None and len(elems) >= cap:
-                        raise CapExceeded(f"more than {cap} elements")
+                    if len(elems) >= bound:
+                        if bound == cap:
+                            raise CapExceeded(f"more than {cap} elements")
+                        raise CapExceeded(
+                            f"more than {room} elements of degree {degree}: elements x "
+                            f"degree passes CLOSURE_LIMIT = {CLOSURE_LIMIT}")
                     elems.add(y)
                     new.append(y)
         frontier = new
     return frozenset(elems)
-
-
-def _generating_set(elements):
-    """Greedy small generating set for a subgroup given as an element set."""
-    degree = len(next(iter(elements)).images)
-    gens: list[Perm] = []
-    have = frozenset({Perm.identity(degree)})
-    if len(have) == len(elements):
-        return gens
-    for x in sorted(elements):
-        if x not in have:
-            gens.append(x)
-            have = _closure(gens, degree)
-            if len(have) == len(elements):
-                break
-    return gens
 
 
 def _conj_classes_of(elements, gens):
@@ -197,64 +205,8 @@ def _conj_classes_of(elements, gens):
     return classes
 
 
-def _set_key(subset):
-    return tuple(sorted(p.images for p in subset))
-
-
-def _divisors(n):
-    out = []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d * d != n:
-                out.append(n // d)
-    return sorted(out)
-
-
-def _normal_lattice(elements):
-    """All normal subgroups of the group given as an element set.
-
-    Every normal subgroup is a join of normal closures of single conjugacy
-    classes, so the lattice is the join-closure of those generators.  Cyclic
-    groups take a direct path through their divisor lattice, which keeps the
-    order <= 200 exhaustive suites fast.
-    """
-    n = len(elements)
-    degree = len(next(iter(elements)).images)
-    ident = Perm.identity(degree)
-    if n == 1:
-        return [frozenset({ident})]
-    gen = next((x for x in elements if x.order() == n), None)
-    if gen is not None:
-        powers = [ident]
-        cur = ident
-        for _ in range(n - 1):
-            cur = cur * gen
-            powers.append(cur)
-        return [frozenset(powers[:: n // d]) for d in _divisors(n)]
-    gens = _generating_set(elements)
-    closures = set()
-    for cls in _conj_classes_of(elements, gens):
-        closures.add(_closure(list(cls), degree))
-    normals = {frozenset({ident})} | closures
-    worklist = list(closures)
-    while worklist:
-        a = worklist.pop()
-        for b in list(normals):
-            if a is b or a <= b or b <= a:
-                continue
-            join = _closure(list(_generating_set(a)) + list(_generating_set(b)), degree)
-            if join not in normals:
-                normals.add(join)
-                worklist.append(join)
-    return sorted(normals, key=lambda s: (len(s), _set_key(s)))
-
-
-def _maximal_proper_normals(elements):
-    lattice = _normal_lattice(elements)
-    proper = [s for s in lattice if len(s) < len(elements)]
-    return [s for s in proper
-            if not any(len(t) > len(s) and s < t for t in proper)]
+def _is_prime(n):
+    return n > 1 and all(n % p for p in range(2, math.isqrt(n) + 1))
 
 
 def _coset_group(elements, gens, normal, element_cap):
@@ -319,6 +271,7 @@ class PermGroup:
         self.name = name or "G"
         self._elements = None
         self._classes = None
+        self._cayley = None
 
     def __repr__(self):
         return f"PermGroup({self.name}, degree={self.degree})"
@@ -336,6 +289,18 @@ class PermGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    def _table(self):
+        if self._cayley is None:
+            n = len(self.elements)
+            if n * n > TABLE_LIMIT:
+                raise CapExceeded(f"order {n} needs a Cayley table of {n * n} entries; "
+                                  f"TABLE_LIMIT is {TABLE_LIMIT}")
+            # Imported on first use: without a bytecode cache, compiling the
+            # index core costs every import of the package about 1 ms.
+            from ._cayley import CayleyTable
+            self._cayley = CayleyTable(self.elements, self.generators)
+        return self._cayley
 
     def conjugacy_classes(self):
         if self._classes is None:
@@ -362,32 +327,9 @@ class PermGroup:
         return True
 
     def normal_subgroups(self):
-        """All normal subgroups, by testing unions of conjugacy classes.
-
-        Keeps the complete-but-exponential subset method, so it refuses to
-        run past 20 classes; the composition-series machinery uses the
-        closure-lattice route instead and has no such cap.
-        """
-        classes = self.conjugacy_classes()
-        if len(classes) > 20:
-            raise TooManyClasses(f"{len(classes)} classes; subset enumeration capped at 20")
-        ident_class = next(c for c in classes if self.identity in c.members)
-        others = [c for c in classes if c is not ident_class]
-        order = self.order
-        found = []
-        for mask in range(1 << len(others)):
-            size = ident_class.size
-            chosen = []
-            for i, c in enumerate(others):
-                if mask >> i & 1:
-                    size += c.size
-                    chosen.append(c)
-            if order % size:
-                continue
-            union = frozenset().union(ident_class.members, *(c.members for c in chosen))
-            if all(a * b in union for a in union for b in union):
-                found.append(union)
-        return sorted(found, key=lambda s: (len(s), _set_key(s)))
+        """All normal subgroups, sorted by order and then by element set."""
+        t = self._table()
+        return [t.perms(s) for s in t.lattice(t.all)]
 
     def quotient_group(self, normal_subset) -> "PermGroup":
         """The quotient group, as the generator action on left cosets."""
@@ -401,9 +343,10 @@ class PermGroup:
 
     def is_simple(self) -> bool:
         """Whether the group has exactly the two trivial normal subgroups."""
-        if self.order == 1:
+        t = self._table()
+        if len(t.all) == 1:
             raise ValueError("the trivial group is conventionally not simple")
-        return len(_normal_lattice(self.elements)) == 2
+        return len(t.lattice(t.all)) == 2
 
     def composition_series(self):
         """A chain [{e}, ..., G] with simple factors, chosen deterministically.
@@ -413,52 +356,60 @@ class PermGroup:
         set.  The returned chain is validated: every step is normal in its
         parent and every factor is simple.
         """
-        chain = [self.elements]
+        t = self._table()
+        chain = [t.all]
         while len(chain[-1]) > 1:
-            maximals = _maximal_proper_normals(chain[-1])
+            maximals = t.maximal_normals(chain[-1])
             best = max(len(s) for s in maximals)
-            chain.append(min((s for s in maximals if len(s) == best), key=_set_key))
+            chain.append(min((s for s in maximals if len(s) == best), key=sorted))
         chain.reverse()
         self._validate_chain(chain)
-        return chain
+        return [t.perms(s) for s in chain]
 
     def _validate_chain(self, chain):
+        """Check a chain of index sets without the lattice that chose it.
+
+        Each step must be a proper subgroup that is conjugation-stable under
+        the generators of the next.  Each factor must be simple: of prime
+        order, or such that every conjugacy class outside the smaller group
+        generates the larger one together with it.
+        """
+        t = self._table()
         for prev, cur in zip(chain, chain[1:]):
-            gens = _generating_set(cur)
-            for g in gens:
-                gi = g.inverse()
-                if any(g * x * gi not in prev for x in prev):
-                    raise AssertionError("chain step is not normal")
-            quotient = _coset_group(cur, gens, prev, self.element_cap)
-            if len(_normal_lattice(quotient.elements)) != 2:
-                raise AssertionError("chain factor is not simple")
+            if not (prev < cur and t.is_normal_in(prev, cur)):
+                raise AssertionError("chain step is not normal")
+            if _is_prime(len(cur) // len(prev)):
+                continue
+            prev_gens = t.generators(prev)
+            for cls in t.classes(cur - prev, t.generators(cur)):
+                have = set(prev)
+                t.grow(have, prev_gens, cls, stop=len(cur))
+                if len(have) != len(cur):
+                    raise AssertionError("chain factor is not simple")
 
     def all_composition_series(self):
         """Every composition series (all maximal-normal-subgroup choices)."""
+        t = self._table()
         memo = {}
 
-        def chains_for(subset):
-            if subset in memo:
-                return memo[subset]
-            if len(subset) == 1:
-                result = [(subset,)]
-            else:
-                result = []
-                for m in _maximal_proper_normals(subset):
-                    for chain in chains_for(m):
-                        result.append(chain + (subset,))
-            memo[subset] = result
-            return result
+        def chains_for(s):
+            if s not in memo:
+                if len(s) == 1:
+                    memo[s] = [(s,)]
+                else:
+                    memo[s] = [chain + (s,) for m in t.maximal_normals(s)
+                               for chain in chains_for(m)]
+            return memo[s]
 
-        return chains_for(self.elements)
+        return [tuple(map(t.perms, chain)) for chain in chains_for(t.all)]
 
     def factor_descriptors(self, chain):
         """Descriptors of the consecutive quotients of a subgroup chain."""
-        descs = []
-        for prev, cur in zip(chain, chain[1:]):
-            q = _coset_group(cur, _generating_set(cur), prev, self.element_cap)
-            descs.append(FactorDescriptor(len(cur) // len(prev), q.is_abelian(), True))
-        return tuple(sorted(descs))
+        t = self._table()
+        chain = [t.indices(s) for s in chain]
+        return tuple(sorted(
+            FactorDescriptor(len(cur) // len(prev), t.is_abelian_over(cur, prev), True)
+            for prev, cur in zip(chain, chain[1:])))
 
     def jordan_holder_factors(self):
         """The factor multiset of any composition series, as a sorted tuple."""

@@ -1,10 +1,11 @@
 """Command-line surface: output formats, determinism, and exit codes."""
 
 import json
+import time
 
 import pytest
 
-from moonshine import cli
+from moonshine import cli, groups
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +140,35 @@ def test_element_cap_env(capsys, monkeypatch):
     monkeypatch.setenv("MOONSHINE_ELEMENT_CAP", "5")
     code, _ = run_cli(capsys, "group", "--name", "C12", "--action", "factors")
     assert code == 2
+
+
+def test_group_budgets_exit_2(capsys):
+    # A8 and S8 would need Cayley tables of 406M and 1.6G entries; C20000's
+    # elements alone would need about 3.2 GB of Perm tuples.
+    for name, action, budget in (("A8", "factors", "TABLE_LIMIT"),
+                                 ("S8", "series", "TABLE_LIMIT"),
+                                 ("C20000", "classes", "CLOSURE_LIMIT")):
+        start = time.monotonic()
+        code = cli.main(["group", "--name", name, "--action", action])
+        elapsed = time.monotonic() - start
+        err = capsys.readouterr().err
+        assert code == 2 and elapsed < 2.0, (name, elapsed)
+        assert err.count("\n") == 1 and budget in err, err
+
+
+def test_group_budgets_admit_s8_classes_and_s7_factors(capsys):
+    code, out = run_cli(capsys, "group", "--name", "S8", "--action", "classes")
+    assert code == 0 and len(out.splitlines()) == 22  # the partitions of 8
+    code, out = run_cli(capsys, "group", "--name", "S7", "--action", "factors")
+    assert code == 0 and out.strip() == "2 2520"
+
+
+def test_order_too_large_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(groups, "JH_ORDER_LIMIT", 60)
+    code = cli.main(["group", "--name", "A5", "--action", "factors"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: factor order 60 >= 60\n"
 
 
 def test_mckay_default(capsys):

@@ -12,8 +12,10 @@ from moonshine.groups import (
     NotASubgroup,
     NotNormal,
     Perm,
+    FactorDescriptor,
     PermGroup,
-    TooManyClasses,
+    _closure,
+    _conj_classes_of,
     alternating_group,
     class_fn_inner,
     class_indicator,
@@ -23,6 +25,110 @@ from moonshine.groups import (
     symmetric_group,
     trivial_character,
 )
+
+
+
+# -- Perm-level oracles: the element-set routines the index core replaced ---
+
+def _set_key(subset):
+    return tuple(sorted(p.images for p in subset))
+
+
+def _oracle_class_unions(g):
+    """Normal subgroups as the unions of conjugacy classes closed under
+    products: complete, but exponential in the number of classes."""
+    classes = g.conjugacy_classes()
+    ident_class = next(c for c in classes if g.identity in c.members)
+    others = [c for c in classes if c is not ident_class]
+    found = []
+    for mask in range(1 << len(others)):
+        chosen = [c for i, c in enumerate(others) if mask >> i & 1]
+        if g.order % (1 + sum(c.size for c in chosen)):
+            continue
+        union = frozenset().union(ident_class.members, *(c.members for c in chosen))
+        if all(a * b in union for a in union for b in union):
+            found.append(union)
+    return sorted(found, key=lambda s: (len(s), _set_key(s)))
+
+
+def _oracle_generating_set(elements):
+    degree = len(next(iter(elements)).images)
+    gens = []
+    have = frozenset({Perm.identity(degree)})
+    for x in sorted(elements):
+        if len(have) == len(elements):
+            break
+        if x not in have:
+            gens.append(x)
+            have = _closure(gens, degree)
+    return gens
+
+
+def _oracle_lattice(elements):
+    """Join-closure of the normal closures of the classes, joins taken as
+    Perm closures (no cyclic shortcut)."""
+    degree = len(next(iter(elements)).images)
+    ident = frozenset({Perm.identity(degree)})
+    if len(elements) == 1:
+        return [ident]
+    closures = {_closure(list(cls), degree)
+                for cls in _conj_classes_of(elements, _oracle_generating_set(elements))}
+    normals = {ident} | closures
+    worklist = list(closures)
+    while worklist:
+        a = worklist.pop()
+        for b in list(normals):
+            if a <= b or b <= a:
+                continue
+            join = _closure(_oracle_generating_set(a) + _oracle_generating_set(b), degree)
+            if join not in normals:
+                normals.add(join)
+                worklist.append(join)
+    return sorted(normals, key=lambda s: (len(s), _set_key(s)))
+
+
+def _oracle_maximal_normals(elements):
+    proper = [s for s in _oracle_lattice(elements) if len(s) < len(elements)]
+    return [s for s in proper if not any(len(t) > len(s) and s < t for t in proper)]
+
+
+def _oracle_series(g):
+    chain = [g.elements]
+    while len(chain[-1]) > 1:
+        maximals = _oracle_maximal_normals(chain[-1])
+        best = max(len(s) for s in maximals)
+        chain.append(min((s for s in maximals if len(s) == best), key=_set_key))
+    return chain[::-1]
+
+
+def _oracle_all_series(elements, memo):
+    if elements not in memo:
+        if len(elements) == 1:
+            memo[elements] = [(elements,)]
+        else:
+            memo[elements] = [chain + (elements,)
+                              for m in _oracle_maximal_normals(elements)
+                              for chain in _oracle_all_series(m, memo)]
+    return memo[elements]
+
+
+def _oracle_quotient(elements, normal):
+    """The quotient as a permutation group: generators acting on left cosets."""
+    reps, coset_index = [], {}
+    for x in sorted(elements):
+        if x not in coset_index:
+            for h in normal:
+                coset_index[x * h] = len(reps)
+            reps.append(x)
+    images = [Perm(coset_index[g * rep] for rep in reps)
+              for g in _oracle_generating_set(elements)]
+    return PermGroup(len(reps), images)
+
+
+def _oracle_descriptors(chain):
+    return tuple(sorted(
+        FactorDescriptor(len(cur) // len(prev), _oracle_quotient(cur, prev).is_abelian(), True)
+        for prev, cur in zip(chain, chain[1:])))
 
 
 def test_perm_basics():
@@ -104,6 +210,8 @@ def test_is_normal_rejects_non_subgroups():
         s3.is_normal(frozenset({s3.identity, three_cycle}))
     with pytest.raises(NotASubgroup):
         s3.is_normal(frozenset())
+    with pytest.raises(NotASubgroup):
+        s3.factor_descriptors([frozenset({Perm.identity(4)}), s3.elements])
 
 
 def test_normal_subgroups():
@@ -116,17 +224,16 @@ def test_normal_subgroups():
 
 
 def test_normal_subgroups_class_cap():
-    with pytest.raises(TooManyClasses):
-        cyclic_group(21).normal_subgroups()
+    # C21 has 21 classes, past the old 20-class cap of the subset method;
+    # the lattice route has no such cap and finds the divisor subgroups.
+    assert [len(s) for s in cyclic_group(21).normal_subgroups()] == [1, 3, 7, 21]
 
 
 def test_normal_subgroups_cross_validation():
-    # the subset method and the closure-lattice route must agree
-    from moonshine.groups import _normal_lattice
-
+    # the class-subset oracle and the index lattice must agree
     for g in (symmetric_group(4), dihedral_group(6), cyclic_group(18),
-              alternating_group(4), dihedral_group(9)):
-        assert set(g.normal_subgroups()) == set(_normal_lattice(g.elements))
+              alternating_group(4), dihedral_group(9), alternating_group(5)):
+        assert g.normal_subgroups() == _oracle_class_unions(g)
 
 
 def test_quotient_group():
@@ -298,3 +405,56 @@ def test_against_sympy_oracle():
             their_orders = sorted(h.order() for h in theirs.composition_series())
             our_orders = sorted(len(s) for s in ours.composition_series())
             assert our_orders == their_orders
+
+
+# -- the index core ----------------------------------------------------------
+
+def test_cayley_table_axioms():
+    for g in (symmetric_group(4), dihedral_group(7), alternating_group(5)):
+        t = g._table()
+        n = g.order
+        assert t.elems == sorted(g.elements) and t.elems[0] == g.identity
+        assert all(t.index[p] == i for i, p in enumerate(t.elems))
+        for x in range(n):
+            assert t.elems[t.inv[x]] == t.elems[x].inverse()
+            for y in range(n):
+                assert t.mul[x][y] == t.index[t.elems[x] * t.elems[y]]
+    t = symmetric_group(5)._table()
+    rng = random.Random(11)
+    for _ in range(500):
+        x, y, z = (rng.randrange(120) for _ in range(3))
+        assert t.mul[t.mul[x][y]][z] == t.mul[x][t.mul[y][z]]
+        assert t.mul[x][t.inv[x]] == t.mul[t.inv[x]][x] == 0
+
+
+def test_index_core_matches_perm_oracle():
+    groups = [cyclic_group(n) for n in range(1, 61)]
+    groups += [dihedral_group(n) for n in range(3, 31)]
+    groups += [alternating_group(n) for n in range(1, 7)]
+    groups += [symmetric_group(n) for n in range(1, 6)]
+    for g in groups:
+        assert g.composition_series() == _oracle_series(g), g.name
+        chains = g.all_composition_series()
+        assert chains == _oracle_all_series(g.elements, {}), g.name
+        for chain in chains:
+            assert g.factor_descriptors(chain) == _oracle_descriptors(chain), g.name
+        lattice = _oracle_lattice(g.elements)
+        assert g.normal_subgroups() == lattice, g.name
+        if g.order > 1:
+            assert g.is_simple() == (len(lattice) == 2), g.name
+
+
+def test_validate_chain_rejects_bad_chains():
+    s4 = symmetric_group(4)
+    t = s4._table()
+    e = frozenset({s4.identity})
+    a4 = alternating_group(4).elements
+    with pytest.raises(AssertionError, match="not simple"):
+        s4._validate_chain([t.indices(e), t.indices(a4), t.all])
+    swap = frozenset({s4.identity, Perm.from_cycles(4, (0, 1))})
+    with pytest.raises(AssertionError, match="not normal"):
+        s4._validate_chain([t.indices(e), t.indices(swap), t.all])
+    s4._validate_chain([t.indices(s) for s in s4.composition_series()])
+    c4 = cyclic_group(4)
+    with pytest.raises(AssertionError, match="not simple"):
+        c4._validate_chain([frozenset({0}), c4._table().all])
