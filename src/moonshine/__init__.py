@@ -12,6 +12,7 @@ from .qseries import (
     coeff_denominator,
 )
 from .modular import (
+    BudgetExceeded,
     DomainError,
     ModularFormExpansion,
     bernoulli,

@@ -350,8 +350,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (modular.DomainError, sl2z.DegenerateBasis, monster.InsufficientData,
-            monster.InsufficientCoefficients, UnknownCoefficient,
+    except (modular.DomainError, modular.BudgetExceeded, sl2z.DegenerateBasis,
+            monster.InsufficientData, monster.InsufficientCoefficients, UnknownCoefficient,
             groups.CapExceeded, groups.OrderTooLarge, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,17 @@
 """Classical level-one modular objects as exact q-expansions.
 
-Everything is expressed through the constant-term-1 Eisenstein series E4 and
-E6, which keeps all arithmetic in integers and rationals: the discriminant is
-(E4^3 - E6^2)/1728 and the modular invariant is J = E4^3 / Delta.
+The constant-term-1 Eisenstein series E4 and E6 keep all arithmetic in
+integers and rationals.  The discriminant is Delta = (E4^3 - E6^2)/1728,
+divided exactly, and its independent oracle is the eta product
+q * prod (1 - q^n)^24.  The modular invariant J = E4^3 / Delta is computed
+without a series inverse, as E4^3 * q^-1 * prod (1 - q^n)^-24: both powers
+of Euler's product come from one helper, :func:`_eta_power`, which runs
+J.C.P. Miller's power recurrence on the sparse pentagonal series.
+
+Two budgets fail with :class:`BudgetExceeded` before anything is allocated:
+``SERIES_ORDER_LIMIT`` bounds the coefficients that J, Delta or an
+Eisenstein series computes, and ``EISENSTEIN_WEIGHT_LIMIT`` the weight of an
+Eisenstein series, whose Bernoulli number costs O(w^2) Fraction sums.
 """
 
 from __future__ import annotations
@@ -16,6 +25,25 @@ from .qseries import LaurentSeries
 
 class DomainError(ValueError):
     """An argument is outside the operation's domain."""
+
+
+class BudgetExceeded(RuntimeError):
+    """A request is past one of the module's work budgets."""
+
+
+# Most coefficients one expansion may compute: J to order 16383, Delta and
+# E_w to order 16384.  At the limit `j --order 16383` took about 25 s and
+# 77 MB, `delta` 1.8 s and `eisenstein --weight 256` 1.2 s (2-core Xeon VM,
+# CPython 3.11.7).
+SERIES_ORDER_LIMIT = 2 ** 14
+# bernoulli(256) takes about 0.2 s from an empty cache; B_w costs O(w^2) Fraction sums.
+EISENSTEIN_WEIGHT_LIMIT = 256
+
+
+def _check_window(order: int, width: int) -> None:
+    if width > SERIES_ORDER_LIMIT:
+        raise BudgetExceeded(f"order {order} needs {width} coefficients; "
+                             f"SERIES_ORDER_LIMIT is {SERIES_ORDER_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -70,23 +98,35 @@ def eisenstein_normalized(weight: int, order: int) -> ModularFormExpansion:
         raise DomainError("Eisenstein weight must be an even integer >= 4")
     if order < 1:
         raise DomainError("order must be >= 1")
+    if weight > EISENSTEIN_WEIGHT_LIMIT:
+        raise BudgetExceeded(f"weight {weight} is past EISENSTEIN_WEIGHT_LIMIT = "
+                             f"{EISENSTEIN_WEIGHT_LIMIT}")
+    _check_window(order, order)
     scale = Fraction(-2 * weight) / bernoulli(weight)
+    if scale.denominator == 1:
+        scale = scale.numerator
     coeffs = [1] + [scale * sigma(weight - 1, n) for n in range(1, order)]
     return ModularFormExpansion(f"E{weight}", weight, LaurentSeries(coeffs))
 
 
-def _delta(e4_cubed: LaurentSeries, order: int) -> LaurentSeries:
-    """(E4^3 - E6^2)/1728 from a precomputed E4^3 on the same window."""
-    e6 = eisenstein_normalized(6, order).series
-    return (e4_cubed - e6**2) / 1728
-
-
 def discriminant(order: int) -> ModularFormExpansion:
-    """The cusp form Delta = (E4^3 - E6^2)/1728 = q - 24q^2 + ..., to ``order``."""
+    """The cusp form Delta = (E4^3 - E6^2)/1728 = q - 24q^2 + ..., to ``order``.
+
+    The division by 1728 is exact; a remainder raises ``ArithmeticError``.
+    """
     if order < 2:
         raise DomainError("order must be >= 2")
+    _check_window(order, order)
     e4 = eisenstein_normalized(4, order).series
-    return ModularFormExpansion("Delta", 12, _delta(e4**3, order))
+    e6 = eisenstein_normalized(6, order).series
+    diff = e4**3 - e6**2
+    coeffs = []
+    for c in diff.coeffs:
+        d, rem = divmod(c, 1728)
+        if rem:
+            raise ArithmeticError(f"E4^3 - E6^2 has coefficient {c}, not divisible by 1728")
+        coeffs.append(d)
+    return ModularFormExpansion("Delta", 12, LaurentSeries(coeffs, diff.valuation, diff.trunc))
 
 
 def _euler_terms(order: int) -> list[tuple[int, int]]:
@@ -106,43 +146,58 @@ def _euler_terms(order: int) -> list[tuple[int, int]]:
     return terms
 
 
-def eta_product_delta(order: int) -> LaurentSeries:
-    """Independent route to Delta: q * prod_{n>=1} (1 - q^n)^24, to ``order``.
+def _eta_power(exponent: int, width: int) -> list[int]:
+    """The first ``width`` >= 1 coefficients of prod_{n>=1} (1 - q^n)^exponent.
 
-    The 24th power of Euler's sparse pentagonal series comes from J.C.P.
-    Miller's recurrence n*p_n = sum_k (25k - n) f_k p_(n-k), so this route
-    shares no multiplication code with :func:`discriminant`.
+    J.C.P. Miller's recurrence for a power P = F^a of a series with f_0 = 1,
+    n*p_n = sum_{k=1..n} ((a+1)k - n) f_k p_(n-k), runs over the sparse
+    pentagonal terms f_k of F = prod (1 - q^n).  Each division by n is exact
+    for an integer exponent; a remainder raises ``ArithmeticError``.
     """
-    if order < 2:
-        raise DomainError("order must be >= 2")
-    f = _euler_terms(order - 1)
+    f = _euler_terms(width)
     p = [1]
-    for n in range(1, order - 1):
+    for n in range(1, width):
         acc = 0
         for k, fk in f:
             if k > n:
                 break
-            acc += (25 * k - n) * fk * p[n - k]
+            acc += ((exponent + 1) * k - n) * fk * p[n - k]
         pn, rem = divmod(acc, n)
         if rem:
             raise ArithmeticError(f"power recurrence left remainder {rem} at n = {n}")
         p.append(pn)
-    return LaurentSeries(p, 1)
+    return p
+
+
+def eta_product_delta(order: int) -> LaurentSeries:
+    """Independent route to Delta: q * prod_{n>=1} (1 - q^n)^24, to ``order``.
+
+    The 24th power of Euler's sparse pentagonal series comes from Miller's
+    recurrence (:func:`_eta_power`), so this route shares no multiplication
+    code with :func:`discriminant`.
+    """
+    if order < 2:
+        raise DomainError("order must be >= 2")
+    return LaurentSeries(_eta_power(24, order - 1), 1)
 
 
 def j_expansion(order: int) -> ModularFormExpansion:
     """The modular invariant J = E4^3 / Delta = q^-1 + 744 + 196884q + ...
 
     The returned series has valuation -1 and is determined through exponent
-    ``order - 1`` (truncation ``order``).  E4^3 is computed once and serves
-    both as the numerator and inside Delta.
+    ``order - 1`` (truncation ``order``).  No series is inverted: J is
+    E4^3 * q^-1 * prod (1 - q^n)^-24, the second factor from Miller's
+    recurrence (:func:`_eta_power`), so one product of two windows of
+    ``order + 1`` coefficients gives J.  Delta itself stays on the Eisenstein
+    route (:func:`discriminant`), with the eta product as its oracle.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
-    base = order + 2
-    e4_cubed = eisenstein_normalized(4, base).series ** 3
-    unit = _delta(e4_cubed, base).shift(-1)
-    return ModularFormExpansion("J", 0, (e4_cubed * unit.inverse()).shift(-1))
+    width = order + 1
+    _check_window(order, width)
+    e4_cubed = eisenstein_normalized(4, width).series ** 3
+    eta_inverse = LaurentSeries(_eta_power(-24, width))
+    return ModularFormExpansion("J", 0, (e4_cubed * eta_inverse).shift(-1))
 
 
 def j_normalized(order: int) -> ModularFormExpansion:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
-from .modular import j_normalized
+from .modular import BudgetExceeded, j_normalized
 from .qseries import BiLaurentSeries
 
 
@@ -28,6 +28,12 @@ class InsufficientCoefficients(ValueError):
 
 class SearchSpaceTooLarge(RuntimeError):
     """The bounded decomposition search exceeded its node budget."""
+
+
+# knz_verify(order) multiplies about order^2 binomial factors on an
+# (order + 2)^2 rectangle and needs J to (order + 1)^2 + 1 coefficients.
+# At the limit `knz --order 40` took 2.6 s (2-core Xeon VM, CPython 3.11.7).
+KNZ_ORDER_LIMIT = 40
 
 
 def _read_table(text):
@@ -285,6 +291,8 @@ def knz_verify(order: int, coeffs: CoeffTable | None = None,
     """
     if order < 0:
         raise ValueError("order must be >= 0")
+    if order > KNZ_ORDER_LIMIT:
+        raise BudgetExceeded(f"order {order} is past KNZ_ORDER_LIMIT = {KNZ_ORDER_LIMIT}")
     need = (order + 1) ** 2
     if coeffs is None:
         coeffs = CoeffTable.from_expansion(need + 1)

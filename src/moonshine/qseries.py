@@ -10,7 +10,13 @@ One-variable products go through one kernel, :func:`_product`: a schoolbook
 loop when the shorter operand has fewer than ``KRONECKER_MIN_LEN``
 coefficients, and otherwise exact Kronecker substitution, which packs each
 operand into a single integer so that CPython's Karatsuba multiplies the
-whole series at once.
+whole series at once.  The kernel returns normalized coefficients (integral
+Fractions as ints), so products skip the constructor's validation.
+
+Two-variable products sort the shorter operand by p-exponent and, for each
+term of the other, stop at the first partner whose product leaves the
+rectangle in p; the q-bounds are tested per pair.  Zero sums are dropped,
+integral Fractions are stored as ints, and the result is not re-validated.
 """
 
 from __future__ import annotations
@@ -73,7 +79,9 @@ def _product(a, b, width):
                     bj = b[j]
                     if bj:
                         out[i + j] += ai * bj
-        return out
+        if all(type(c) is int for c in a) and all(type(c) is int for c in b):
+            return out
+        return [_norm(c) for c in out]
     a, da = _integral(a)
     b, db = _integral(b)
     # |product digit| <= min(len) * max|a| * max|b| < 2^(8*nb - 1)
@@ -81,8 +89,9 @@ def _product(a, b, width):
             + min(len(a), len(b)).bit_length() + 1)
     nb = (bits + 7) // 8
     out = _unpack(_pack(a, nb) * _pack(b, nb), width, nb)
-    if da * db != 1:
-        out = [Fraction(c, da * db) for c in out]
+    d = da * db
+    if d != 1:
+        out = [_norm(Fraction(c, d)) for c in out]
     return out
 
 
@@ -141,12 +150,22 @@ class LaurentSeries:
             trunc = valuation + len(coeffs)
         elif trunc != valuation + len(coeffs):
             raise ValueError("coefficients must cover the window [valuation, trunc)")
+        self._set(coeffs, valuation, trunc)
+
+    def _set(self, coeffs, valuation, trunc):
         lead = 0
         while lead < len(coeffs) and coeffs[lead] == 0:
             lead += 1
         self.coeffs = tuple(coeffs[lead:])
         self.valuation = valuation + lead if self.coeffs else trunc
         self.trunc = trunc
+
+    @classmethod
+    def _make(cls, coeffs, valuation, trunc):
+        """A series from normalized coefficients covering [valuation, trunc), unchecked."""
+        s = cls.__new__(cls)
+        s._set(coeffs, valuation, trunc)
+        return s
 
     @classmethod
     def zero(cls, trunc):
@@ -213,10 +232,7 @@ class LaurentSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        s = LaurentSeries.zero(self.trunc)
-        s.coeffs = tuple(-c for c in self.coeffs)
-        s.valuation = self.valuation
-        return s
+        return LaurentSeries._make([-c for c in self.coeffs], self.valuation, self.trunc)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -240,7 +256,7 @@ class LaurentSeries:
         if self.is_zero or other.is_zero:
             return LaurentSeries.zero(trunc)
         val = av + bv
-        return LaurentSeries(_product(self.coeffs, other.coeffs, trunc - val), val, trunc)
+        return LaurentSeries._make(_product(self.coeffs, other.coeffs, trunc - val), val, trunc)
 
     __rmul__ = __mul__
 
@@ -264,7 +280,7 @@ class LaurentSeries:
         g = [_norm(Fraction(1) / Fraction(u[0]))]
         for k in range(1, width):
             g.append(_norm(-sum(u[i] * g[k - i] for i in range(1, k + 1)) * g[0]))
-        return LaurentSeries(g, -self.valuation, self.trunc - 2 * self.valuation)
+        return LaurentSeries._make(g, -self.valuation, self.trunc - 2 * self.valuation)
 
     def __pow__(self, e):
         if not isinstance(e, int):
@@ -287,10 +303,7 @@ class LaurentSeries:
 
     def shift(self, k):
         """Multiply by q^k (shifts the whole window by k)."""
-        s = LaurentSeries.zero(self.trunc + k)
-        s.coeffs = self.coeffs
-        s.valuation = self.valuation + k if self.coeffs else self.trunc + k
-        return s
+        return LaurentSeries._make(self.coeffs, self.valuation + k, self.trunc + k)
 
     def truncate(self, new_trunc):
         """Restrict the known window to exponents below ``new_trunc``."""
@@ -300,7 +313,7 @@ class LaurentSeries:
             return self
         if new_trunc <= self.valuation:
             return LaurentSeries.zero(new_trunc)
-        return LaurentSeries(self.coeffs[: new_trunc - self.valuation], self.valuation, new_trunc)
+        return LaurentSeries._make(self.coeffs[: new_trunc - self.valuation], self.valuation, new_trunc)
 
     # -- comparisons / display ------------------------------------------------
 
@@ -335,7 +348,7 @@ class BiLaurentSeries:
 
     ``rect`` is ``(pmin, pmax, qmin, qmax)``; keys of ``terms`` are ``(m, n)``
     for the monomial p^m q^n.  Products falling outside the rectangle are
-    discarded: the rectangle is the two-variable truncation window.
+    never formed: the rectangle is the two-variable truncation window.
     """
 
     __slots__ = ("terms", "rect")
@@ -354,6 +367,14 @@ class BiLaurentSeries:
             store[(m, n)] = c
         self.terms = store
         self.rect = (pmin, pmax, qmin, qmax)
+
+    @classmethod
+    def _make(cls, terms, rect):
+        """A series from nonzero normalized terms inside ``rect``, unchecked."""
+        s = cls.__new__(cls)
+        s.terms = terms
+        s.rect = rect
+        return s
 
     @classmethod
     def constant(cls, value, rect):
@@ -398,14 +419,25 @@ class BiLaurentSeries:
         if other.rect != self.rect:
             raise RectangleMismatch(f"{self.rect} vs {other.rect}")
         pmin, pmax, qmin, qmax = self.rect
+        outer, inner = self.terms, other.terms
+        if len(inner) > len(outer):
+            outer, inner = inner, outer
+        # the shorter operand by ascending p-exponent: once a partner's
+        # product passes pmax, every later partner's does too
+        partners = sorted(inner.items())
         out = {}
-        for (m1, n1), c1 in self.terms.items():
-            for (m2, n2), c2 in other.terms.items():
-                m, n = m1 + m2, n1 + n2
-                if pmin <= m <= pmax and qmin <= n <= qmax:
+        get = out.get
+        for (m1, n1), c1 in outer.items():
+            for (m2, n2), c2 in partners:
+                m = m1 + m2
+                if m > pmax:
+                    break
+                n = n1 + n2
+                if qmin <= n <= qmax and pmin <= m:
                     key = (m, n)
-                    out[key] = out.get(key, 0) + c1 * c2
-        return BiLaurentSeries(out, self.rect)
+                    out[key] = get(key, 0) + c1 * c2
+        terms = {k: c if type(c) is int else _norm(c) for k, c in out.items() if c}
+        return BiLaurentSeries._make(terms, self.rect)
 
     __rmul__ = __mul__
 

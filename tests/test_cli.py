@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from moonshine import cli, groups
+from moonshine import cli, groups, modular, monster
 
 
 def run_cli(capsys, *argv):
@@ -169,6 +169,47 @@ def test_order_too_large_exits_2(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: factor order 60 >= 60\n"
+
+
+def test_series_budgets_exit_2(capsys):
+    # each of these would otherwise run for hours or exhaust memory
+    for argv, budget, value in (
+            (["j", "--order", "1000000000"], "SERIES_ORDER_LIMIT", "1000000000"),
+            (["delta", "--order", "1000000000"], "SERIES_ORDER_LIMIT", "1000000000"),
+            (["eisenstein", "--weight", "100000", "--order", "2"],
+             "EISENSTEIN_WEIGHT_LIMIT", "100000"),
+            (["knz", "--order", "1000"], "KNZ_ORDER_LIMIT", "1000")):
+        start = time.monotonic()
+        code = cli.main(argv)
+        elapsed = time.monotonic() - start
+        captured = capsys.readouterr()
+        assert code == 2 and elapsed < 2.0, (argv, elapsed)
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and budget in captured.err, captured.err
+        assert value in captured.err, captured.err
+
+
+def test_series_budgets_boundaries(capsys, monkeypatch):
+    # J to order L - 1 and Delta, E_w to order L fill exactly L coefficients
+    monkeypatch.setattr(modular, "SERIES_ORDER_LIMIT", 40)
+    monkeypatch.setattr(modular, "EISENSTEIN_WEIGHT_LIMIT", 12)
+    monkeypatch.setattr(monster, "KNZ_ORDER_LIMIT", 2)
+    for argv, code in ((["j", "--order", "39"], 0), (["j", "--order", "40"], 2),
+                       (["delta", "--order", "40"], 0), (["delta", "--order", "41"], 2),
+                       (["eisenstein", "--weight", "12", "--order", "40"], 0),
+                       (["eisenstein", "--weight", "14", "--order", "2"], 2),
+                       (["eisenstein", "--weight", "4", "--order", "41"], 2),
+                       (["knz", "--order", "2"], 0), (["knz", "--order", "3"], 2)):
+        assert run_cli(capsys, *argv)[0] == code, argv
+
+
+def test_series_budgets_admit_stretch_inputs(capsys):
+    # j --order 10000 and knz --order 40 fit the window; weight 200 runs here
+    assert modular.SERIES_ORDER_LIMIT >= 10000 + 1
+    assert monster.KNZ_ORDER_LIMIT >= 40
+    assert (monster.KNZ_ORDER_LIMIT + 1) ** 2 + 2 <= modular.SERIES_ORDER_LIMIT
+    code, out = run_cli(capsys, "eisenstein", "--weight", "200", "--order", "2")
+    assert code == 0 and out.startswith("0 1\n1 ")
 
 
 def test_mckay_default(capsys):

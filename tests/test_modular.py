@@ -18,7 +18,7 @@ from moonshine.modular import (
     sigma,
     weight_space_basis,
 )
-from moonshine.qseries import coeff_denominator
+from moonshine.qseries import LaurentSeries, coeff_denominator
 
 
 def test_sigma_examples():
@@ -137,7 +137,85 @@ def test_j_expansion_builds_e4_once(monkeypatch):
 
     monkeypatch.setattr(modular, "eisenstein_normalized", counting)
     j_expansion(30)
-    assert sorted(calls) == [4, 6]
+    assert sorted(calls) == [4]  # E6 is not needed: 1/Delta comes from the eta product
+
+
+def _j_by_inverse(order):
+    """Oracle: the former route, E4^3 * inverse(Delta / q) with Delta from Eisenstein."""
+    base = order + 2
+    e4_cubed = eisenstein_normalized(4, base).series ** 3
+    unit = discriminant(base).series.shift(-1)
+    return (e4_cubed * unit.inverse()).shift(-1)
+
+
+def test_j_expansion_matches_inverse_oracle():
+    for order in list(range(61)) + [300]:
+        j = j_expansion(order).series
+        oracle = _j_by_inverse(order)
+        assert j == oracle, order
+        assert (j.valuation, j.trunc) == (-1, order)
+        assert all(type(c) is int for c in j.coeffs), order
+
+
+def test_j_times_discriminant_is_e4_cubed():
+    # shares no code with the eta power recurrence that builds J
+    order = 300
+    product = j_expansion(order).series * discriminant(order).series
+    e4_cubed = eisenstein_normalized(4, order).series ** 3
+    assert product.trunc == order - 1
+    assert product == e4_cubed.truncate(order - 1)
+
+
+def _partition_numbers(count):
+    p = [1] + [0] * (count - 1)
+    for part in range(1, count):
+        for n in range(part, count):
+            p[n] += p[n - part]
+    return p
+
+
+def test_eta_power_exponents():
+    # exponent -1 gives the partition numbers, +24 the Eisenstein Delta / q,
+    # and the -24th and 24th powers are inverse to each other
+    assert modular._eta_power(-1, 80) == _partition_numbers(80)
+    assert modular._eta_power(1, 1) == [1]
+    assert modular._eta_power(24, 99) == list(discriminant(100).series.coeffs)
+    plus = LaurentSeries(modular._eta_power(24, 200))
+    minus = LaurentSeries(modular._eta_power(-24, 200))
+    assert plus * minus == LaurentSeries.one(200)
+
+
+def test_eta_power_remainder_check():
+    # a half-integer power has non-integral coefficients (the q-coefficient
+    # of prod (1 - q^n)^(1/2) is -1/2), so an exact division must fail
+    with pytest.raises(ArithmeticError, match="remainder"):
+        modular._eta_power(Fraction(1, 2), 3)
+
+
+def test_discriminant_division_is_exact(monkeypatch):
+    real = modular.eisenstein_normalized
+
+    def bent(weight, order):
+        form = real(weight, order)
+        if weight != 6:
+            return form
+        coeffs = list(form.series.coeffs)
+        coeffs[-1] += 1
+        return modular.ModularFormExpansion(form.label, weight, LaurentSeries(coeffs))
+
+    monkeypatch.setattr(modular, "eisenstein_normalized", bent)
+    with pytest.raises(ArithmeticError, match="1728"):
+        discriminant(10)
+
+
+def test_eisenstein_matches_fraction_scale():
+    # the integer scale for weights 4..14 and the Fraction one above agree
+    # with 1 - (2w/B_w) sum sigma_(w-1)(n) q^n taken entirely in Fractions
+    for weight in range(4, 27, 2):
+        s = eisenstein_normalized(weight, 40).series
+        scale = Fraction(-2 * weight) / bernoulli(weight)
+        assert s.coefficient_list() == [1] + [scale * sigma(weight - 1, n) for n in range(1, 40)]
+        assert all(type(c) is int or c.denominator > 1 for c in s.coeffs)
 
 
 def test_j_head_values():

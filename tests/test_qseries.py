@@ -241,6 +241,24 @@ def test_product_kernel_short_and_long_windows():
             assert qseries._product([Fraction(c) for c in a], b, width) == expect
 
 
+def test_product_returns_integral_fractions_as_ints():
+    # (1/2 + q/3 + ...) * (2 + 3q + ...): the constant term is the int 1 in
+    # both the schoolbook and the Kronecker branch of the kernel
+    for width in (2, KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN, 3 * KRONECKER_MIN_LEN):
+        a = LaurentSeries([Fraction(1, 2), Fraction(1, 3)] + [Fraction(1, 6)] * (width - 2))
+        b = LaurentSeries([2, 3] + [6 * (i % 5 - 2) for i in range(width - 2)])
+        for prod in (a * b, b * a):
+            assert prod == _schoolbook_mul(a, b)
+            assert type(prod.coeffs[0]) is int and prod.coeffs[0] == 1
+            assert all(type(c) is int or c.denominator > 1 for c in prod.coeffs)
+        # Fractions whose products cancel to whole numbers throughout
+        thirds = LaurentSeries([Fraction(3, 2)] + [Fraction(k, 3) for k in range(1, width)])
+        sixes = LaurentSeries([6] * width, -1)
+        prod = thirds * sixes
+        assert prod == _schoolbook_mul(thirds, sixes)
+        assert all(type(c) is int for c in prod.coeffs)
+
+
 def test_invert_geometric():
     inv = series([1, -1, 0, 0, 0, 0]).inverse()
     assert inv.coefficient_list() == [1, 1, 1, 1, 1, 1]
@@ -407,6 +425,65 @@ def test_bls_mul_examples():
 
     one = BiLaurentSeries.one(rect2)
     assert x * one == x
+
+
+def _all_pairs_bimul(a, b):
+    """Oracle: every pair of terms, keeping the products inside the rectangle."""
+    pmin, pmax, qmin, qmax = a.rect
+    out = {}
+    for (m1, n1), c1 in a.terms.items():
+        for (m2, n2), c2 in b.terms.items():
+            m, n = m1 + m2, n1 + n2
+            if pmin <= m <= pmax and qmin <= n <= qmax:
+                out[(m, n)] = out.get((m, n), 0) + c1 * c2
+    return BiLaurentSeries(out, a.rect)
+
+
+def _random_bls(rng, rect, count, fractions):
+    pmin, pmax, qmin, qmax = rect
+    terms = {}
+    for _ in range(count):
+        c = rng.randint(-9, 9)
+        if fractions and rng.random() < 0.5:
+            c = Fraction(c, rng.choice([2, 3, 4, 6]))
+        terms[(rng.randint(pmin, pmax), rng.randint(qmin, qmax))] = c
+    return BiLaurentSeries(terms, rect)
+
+
+def _canonical_terms(s):
+    return all(c != 0 and (type(c) is int or c.denominator > 1) for c in s.terms.values())
+
+
+def test_bls_mul_matches_all_pairs():
+    rng = random.Random(5)
+    for trial in range(300):
+        pmin, qmin = rng.randint(-6, 2), rng.randint(-6, 2)
+        rect = (pmin, pmin + rng.randint(0, 8), qmin, qmin + rng.randint(0, 8))
+        fractions = trial % 2 == 1
+        a = _random_bls(rng, rect, rng.randint(0, 25), fractions)
+        b = _random_bls(rng, rect, rng.randint(0, 25), fractions)
+        for x, y in ((a, b), (b, a)):
+            prod = x * y
+            assert prod == _all_pairs_bimul(x, y), (rect, x, y)
+            assert _canonical_terms(prod)
+
+
+def test_bls_mul_cancellation():
+    rect = (-2, 3, -2, 3)
+    # (1/2 + p/3) * (2 - 4p/3): the p-terms cancel, the constant is the int 1
+    a = BiLaurentSeries({(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 3)}, rect)
+    b = BiLaurentSeries({(0, 0): 2, (1, 0): Fraction(-4, 3)}, rect)
+    for prod in (a * b, b * a):
+        assert prod.terms == {(0, 0): 1, (2, 0): Fraction(-4, 9)}
+        assert type(prod.terms[(0, 0)]) is int
+    # (1 - p q^-1) * (1 + p q^-1) = 1 - p^2 q^-2: the middle terms sum to zero
+    c = BiLaurentSeries({(0, 0): 1, (1, -1): -1}, rect)
+    d = BiLaurentSeries({(0, 0): 1, (1, -1): 1}, rect)
+    assert (c * d).terms == {(0, 0): 1, (2, -2): -1}
+    # partners past the rectangle in p and in q on both sides are never kept
+    e = BiLaurentSeries({(-2, 3): 5, (3, -2): 7, (0, 0): 1}, rect)
+    assert e * e == _all_pairs_bimul(e, e)
+    assert (e * e).terms == {(-2, 3): 10, (3, -2): 14, (0, 0): 1, (1, 1): 70}
 
 
 def test_bls_rectangle_mismatch():
