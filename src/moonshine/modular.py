@@ -69,6 +69,17 @@ def sigma(k: int, n: int) -> int:
     return total
 
 
+def _sigma_sieve(k: int, order: int) -> list[int]:
+    """[0, sigma_k(1), ..., sigma_k(order - 1)]: each d^k is added to its
+    multiples, O(order log order) additions in all."""
+    sums = [0] * order
+    for d in range(1, order):
+        dk = d**k
+        for n in range(d, order, d):
+            sums[n] += dk
+    return sums
+
+
 # Filled on demand by the standard recurrence; reads and idempotent inserts
 # are safe under the GIL, so concurrent use needs no extra locking.
 _BERNOULLI: dict[int, Fraction] = {0: Fraction(1)}
@@ -92,7 +103,7 @@ def eisenstein_normalized(weight: int, order: int) -> ModularFormExpansion:
     """E_w = 1 - (2w/B_w) * sum sigma_{w-1}(n) q^n, truncated at ``order``.
 
     The coefficients are integers for w in {4, 6, 8, 10, 14} and rationals in
-    general.
+    general.  The divisor sums come from one sieve (:func:`_sigma_sieve`).
     """
     if weight < 4 or weight % 2:
         raise DomainError("Eisenstein weight must be an even integer >= 4")
@@ -105,7 +116,7 @@ def eisenstein_normalized(weight: int, order: int) -> ModularFormExpansion:
     scale = Fraction(-2 * weight) / bernoulli(weight)
     if scale.denominator == 1:
         scale = scale.numerator
-    coeffs = [1] + [scale * sigma(weight - 1, n) for n in range(1, order)]
+    coeffs = [1] + [scale * s for s in _sigma_sieve(weight - 1, order)[1:]]
     return ModularFormExpansion(f"E{weight}", weight, LaurentSeries(coeffs))
 
 

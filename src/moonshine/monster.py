@@ -2,6 +2,13 @@
 identities, bounded decomposition search, and the truncated two-variable
 product identity p^-1 prod (1 - p^m q^n)^c(mn) = J(p) - J(q).
 
+Every factor but (1 - p/q) has m >= 1 and n >= 0, and their product
+F = sum F_M(q) p^M comes row by row from Newton's identity in p
+(:func:`_knz_rows`): the logarithmic derivative turns the exponents c(mn)
+into integer rows H_M(q), the unnormalised Hecke images of J (Borcherds,
+Invent. Math. 109, 1992).  The one factor with a negative q-exponent is
+multiplied in at the end.
+
 The product identity only holds with the normalized coefficients (c(0) = 0):
 a constant term of 744 would smuggle factors (1 - p^m)^744 into the left side,
 and the verifier exposes exactly that as a negative control.
@@ -30,9 +37,11 @@ class SearchSpaceTooLarge(RuntimeError):
     """The bounded decomposition search exceeded its node budget."""
 
 
-# knz_verify(order) multiplies about order^2 binomial factors on an
-# (order + 2)^2 rectangle and needs J to (order + 1)^2 + 1 coefficients.
-# At the limit `knz --order 40` took 2.6 s (2-core Xeon VM, CPython 3.11.7).
+# knz_verify(order) runs Newton's identity over order + 2 rows of order + 2
+# integer coefficients, about order^4 / 8 big-integer multiply-adds, and
+# needs J to (order + 1)^2 + 1 coefficients.  At the limit `knz --order 40`
+# took 0.45-0.54 s, about 0.35 s of it building that J table (2-core Xeon
+# VM, CPython 3.11.7).
 KNZ_ORDER_LIMIT = 40
 
 
@@ -60,6 +69,9 @@ class CoeffTable:
     normalized: bool = True
 
     def __post_init__(self):
+        for n, v in self.values.items():
+            if type(v) is not int:
+                raise ValueError(f"c({n}) = {v!r} is not an int")
         top = max(self.values)
         if set(self.values) != set(range(-1, top + 1)):
             raise ValueError("coefficient table must cover a contiguous range from -1")
@@ -267,7 +279,11 @@ class KnzResult:
 
 
 def _binomial_factor(m, n, exponent, rect):
-    """(1 - p^m q^n)^exponent expanded inside the rectangle (m >= 1)."""
+    """(1 - p^m q^n)^exponent expanded inside the rectangle (m >= 1).
+
+    The coefficient of x^j in (1 - x)^e is (-1)^j C(e, j) for e >= 0 and
+    C(-e + j - 1, j) for e < 0.
+    """
     pmin, pmax, qmin, qmax = rect
     terms = {}
     j = 0
@@ -275,9 +291,48 @@ def _binomial_factor(m, n, exponent, rect):
         pe, qe = j * m, j * n
         if pe > pmax or qe > qmax or qe < qmin:
             break
-        terms[(pe, qe)] = -math.comb(exponent, j) if j & 1 else math.comb(exponent, j)
+        if exponent >= 0:
+            terms[(pe, qe)] = -math.comb(exponent, j) if j & 1 else math.comb(exponent, j)
+        else:
+            terms[(pe, qe)] = math.comb(j - exponent - 1, j)
         j += 1
     return BiLaurentSeries(terms, rect)
+
+
+def _knz_rows(width, c):
+    """Rows F_0 .. F_(width-1) of F = prod_{m>=1, n>=0} (1 - p^m q^n)^c(mn).
+
+    F = sum_M F_M(q) p^M, and each row is the list of its first ``width``
+    coefficients in q.  Since p d/dp log F = -sum_M H_M(q) p^M, Newton's
+    identity gives F_0 = 1 and M*F_M = -sum_{j=1..M} H_j F_(M-j), with the
+    integer rows H_M(q) = sum_N q^N sum_{k | gcd(M, N)} (M/k) c(MN/k^2) and
+    gcd(M, 0) = M, so c(0) enters through N = 0.  Each division by M is
+    exact for integer exponents; a remainder raises ``ArithmeticError``.
+    """
+    rows = [[1] + [0] * (width - 1)]
+    hecke = [None]
+    for M in range(1, width):
+        h = []
+        for N in range(width):
+            g = math.gcd(M, N)
+            total = sum((M // k) * c(M * N // (k * k)) for k in range(1, g + 1) if g % k == 0)
+            if total:
+                h.append((N, total))
+        hecke.append(h)
+        acc = [0] * width
+        for j in range(1, M + 1):
+            f = rows[M - j]
+            for i, hi in hecke[j]:
+                for k in range(width - i):
+                    acc[i + k] += hi * f[k]
+        row = []
+        for N, a in enumerate(acc):
+            fm, rem = divmod(-a, M)
+            if rem:
+                raise ArithmeticError(f"row recurrence left remainder {rem} at p^{M} q^{N}")
+            row.append(fm)
+        rows.append(row)
+    return rows
 
 
 def knz_verify(order: int, coeffs: CoeffTable | None = None,
@@ -287,7 +342,10 @@ def knz_verify(order: int, coeffs: CoeffTable | None = None,
     Both sides are computed on the exponent rectangle [-1, order]^2.  The
     exponents use c(0) = 0 and c(k) = 0 for k < -1; passing
     ``unnormalized_c0=True`` forces c(0) = 744 instead, which breaks the
-    identity (the negative control distinguishing J - 744 from J).
+    identity (the negative control distinguishing J - 744 from J).  The
+    factors with n >= 0 come as rows in p from :func:`_knz_rows`; the one
+    factor (1 - p/q)^c(-1) is multiplied in afterwards.  Any integer
+    exponents work, so perturbed tables report their mismatches.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -306,17 +364,15 @@ def knz_verify(order: int, coeffs: CoeffTable | None = None,
         return coeffs.c(k)
 
     # The working rectangle keeps the p^-1 prefactor out until the end, and
-    # its q-range extends one past the target: the (m, n) = (1, -1) factor,
-    # multiplied first, is the only source of negative q-degrees, so factor
-    # terms at q-degree order+1 still land inside the target after it.  All
-    # later factors only raise degrees, making the truncation lossless.
+    # its q-range extends one past the target: (1 - p/q) is the only source
+    # of negative q-degrees, so row terms at q-degree order+1 still land
+    # inside the target after it.  Every other factor only raises degrees,
+    # so the rows truncated at q^(order+1) and p^(order+1) lose nothing.
     work_rect = (0, order + 1, -1, order + 1)
-    acc = _binomial_factor(1, -1, c_exp(-1), work_rect)
-    for m in range(1, order + 2):
-        for n in range(0, order + 2):
-            e = c_exp(m * n)
-            if e:
-                acc = acc * _binomial_factor(m, n, e, work_rect)
+    rows = _knz_rows(order + 2, c_exp)
+    f = BiLaurentSeries({(m, n): v for m, row in enumerate(rows) for n, v in enumerate(row)},
+                        work_rect)
+    acc = _binomial_factor(1, -1, c_exp(-1), work_rect) * f
     final_rect = (-1, order, -1, order)
     lhs = acc.truncated((0, order + 1, -1, order)).shifted(-1, 0, rect=final_rect)
 

@@ -34,6 +34,14 @@ def test_sigma_against_divisor_enumeration():
             assert sigma(k, n) == brute
 
 
+def test_sigma_matches_sieve():
+    for k in (1, 3, 5, 11, 23):
+        sums = modular._sigma_sieve(k, 400)
+        assert sums[0] == 0
+        assert sums[1:] == [sigma(k, n) for n in range(1, 400)]
+    assert modular._sigma_sieve(3, 1) == [0]
+
+
 def test_sigma_domain():
     with pytest.raises(DomainError):
         sigma(3, 0)

@@ -1,8 +1,12 @@
 """Embedded datasets, the decomposition identities, bounded search, the
 two-variable product identity, and the documented monster constants."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
+from moonshine import monster
 from moonshine.monster import (
     MONSTER_FACTS,
     CheckStatus,
@@ -10,6 +14,7 @@ from moonshine.monster import (
     IrrepDims,
     InsufficientCoefficients,
     InsufficientData,
+    KnzResult,
     SearchSpaceTooLarge,
     decompose_bounded,
     graded_dimension_check,
@@ -17,6 +22,7 @@ from moonshine.monster import (
     mckay_identity_check,
     monster_order,
 )
+from moonshine.qseries import BiLaurentSeries
 
 # Deeper irreducible dimensions are deliberately not shipped with the
 # package; the two deepest checks treat them as externally sourced
@@ -33,6 +39,28 @@ def coeffs():
 @pytest.fixture(scope="module")
 def dims():
     return IrrepDims.from_resource()
+
+
+@pytest.fixture(scope="module")
+def j_table():
+    # enough for knz_verify(24): c(n) through n = 25^2
+    return CoeffTable.from_expansion(25 * 25 + 1)
+
+
+def _knz_lhs_by_factors(order, coeffs, unnormalized_c0=False):
+    """Oracle: the left side multiplied out one binomial factor at a time."""
+    def c_exp(k):
+        return 744 if k == 0 and unnormalized_c0 else coeffs.c(k)
+
+    work_rect = (0, order + 1, -1, order + 1)
+    acc = monster._binomial_factor(1, -1, c_exp(-1), work_rect)
+    for m in range(1, order + 2):
+        for n in range(0, order + 2):
+            e = c_exp(m * n)
+            if e:
+                acc = acc * monster._binomial_factor(m, n, e, work_rect)
+    final_rect = (-1, order, -1, order)
+    return acc.truncated((0, order + 1, -1, order)).shifted(-1, 0, rect=final_rect)
 
 
 def test_embedded_table_matches_computed_expansion(coeffs):
@@ -60,6 +88,9 @@ def test_coeff_table_invariants(coeffs):
         CoeffTable({-1: 1, 0: 744}, "bad")
     with pytest.raises(ValueError):
         CoeffTable({-1: 1, 1: 5}, "gap")
+    for value in (0.5, Fraction(1), Fraction(1, 2), True, "3"):
+        with pytest.raises(ValueError, match=r"c\(3\)"):
+            coeffs.with_value(3, value)
 
 
 def test_irrep_dims_invariants(dims):
@@ -175,6 +206,53 @@ def test_knz_negative_control():
     result = knz_verify(2, unnormalized_c0=True)
     assert not result.equal
     assert result.mismatches()
+
+
+def test_knz_rows_match_factor_oracle(j_table):
+    for order in list(range(0, 13)) + [20, 24]:
+        result = knz_verify(order, j_table)
+        assert result.lhs == _knz_lhs_by_factors(order, j_table)
+        assert result.equal
+    for order in range(0, 13):
+        result = knz_verify(order, j_table, unnormalized_c0=True)
+        assert result.lhs == _knz_lhs_by_factors(order, j_table, unnormalized_c0=True)
+        assert not result.equal
+
+
+def test_knz_perturbed_tables_match_oracle(j_table):
+    rng = random.Random(2024)
+    for _ in range(40):
+        order = rng.randrange(1, 7)
+        table = j_table
+        for _ in range(rng.randrange(1, 4)):
+            n = rng.randrange(0, (order + 1) ** 2 + 1)
+            table = table.with_value(n, rng.choice([-3, -2, -1, 0, 1, 2, 5, table.c(n) + 1]))
+        result = knz_verify(order, table)
+        oracle = KnzResult(_knz_lhs_by_factors(order, table), result.rhs, False)
+        assert result.mismatches() == oracle.mismatches()
+
+
+def test_knz_negative_exponent_reports_mismatches():
+    table = CoeffTable.from_expansion(30).with_value(2, -1)
+    result = knz_verify(3, table)
+    assert not result.equal
+    assert result.mismatches()
+    assert result.lhs == _knz_lhs_by_factors(3, table)
+
+
+def test_binomial_factor_negative_exponent():
+    rect = (0, 6, -1, 6)
+    inverse_cube = monster._binomial_factor(1, 0, -3, rect)
+    assert inverse_cube.terms == {(j, 0): (j + 1) * (j + 2) // 2 for j in range(7)}
+    for e in (1, 2, 5):
+        down = monster._binomial_factor(2, 1, -e, rect)
+        up = monster._binomial_factor(2, 1, e, rect)
+        assert down * up == BiLaurentSeries.one(rect)
+
+
+def test_knz_rows_remainder_check():
+    with pytest.raises(ArithmeticError):
+        monster._knz_rows(4, lambda k: Fraction(1, 2) if k == 1 else 0)
 
 
 def test_knz_insufficient_coefficients():
