@@ -4,21 +4,20 @@ subgroup lattice on integer indices.
 Elements are indexed in sorted ``Perm`` order, so the identity is 0 and
 sorted index sets order like the element sets they stand for.  The table
 is filled by breadth-first search over left multiplication by the
-generators: that takes order x #generators ``Perm`` products, and every
-other row is its BFS parent's row mapped through one generator's row.
-Subgroups grow coset by coset (Dimino's algorithm), and two normal
-subgroups join as their product set AB.  ``PermGroup`` builds one table
-per group on first use and converts to and from frozensets of ``Perm`` at
-its public methods.
+generators, whose maps come from the group's closure: it takes no ``Perm``
+products, and every row other than the identity's is its BFS parent's row
+mapped through one generator's map.  Subgroups grow coset by coset
+(Dimino's algorithm), and two normal subgroups join as their product set
+AB.  ``PermGroup`` builds one table per group on first use and converts to
+and from frozensets of ``Perm`` at its public methods.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
-from operator import itemgetter
 
-from .groups import NotASubgroup
+from .groups import NotASubgroup, _orbits, _take
 
 
 def _divisors(n):
@@ -31,13 +30,6 @@ def _divisors(n):
     return sorted(out)
 
 
-def _take(seq, idx):
-    """``tuple(seq[i] for i in idx)`` for a non-empty tuple ``idx``, at C speed."""
-    if len(idx) > 1:
-        return itemgetter(*idx)(seq)
-    return (seq[idx[0]],)
-
-
 class CayleyTable:
     """Cayley table of a finite group, on integer indices.
 
@@ -46,13 +38,11 @@ class CayleyTable:
     the inverse of ``elems[x]``.  Subgroups are frozensets of indices.
     """
 
-    def __init__(self, elements, generators):
-        n = len(elements)
-        elems = sorted(elements)
-        index = {p: i for i, p in enumerate(elems)}
-        gens = sorted({index[g] for g in generators} - {0})
-        # left[s][z] indexes elems[s] * elems[z]: the only Perm products taken.
-        left = {s: [index[elems[s] * p] for p in elems] for s in gens}
+    def __init__(self, elements, elems, index, left):
+        """The group ``elements``, with ``elems`` and ``index`` as above and
+        ``left[s][x]`` indexing ``elems[s] * elems[x]`` for each generator s."""
+        n = len(elems)
+        gens = sorted(left)
         mul = [None] * n
         mul[0] = tuple(range(n))
         tree = []
@@ -123,30 +113,23 @@ class CayleyTable:
         return gens
 
     def generators(self, s):
-        """A small generating set of the subgroup ``s``, greedy in index order."""
+        """A small generating set of the subgroup ``s``, greedy in index order.
+        Raises NotASubgroup unless ``s`` is a subgroup, so only subgroups
+        are cached."""
         gens = self._gens.get(s)
         if gens is None:
-            gens = self._gens[s] = tuple(self.grow({0}, (), sorted(s), stop=len(s)))
+            have = {0}
+            gens = tuple(self.grow(have, (), sorted(s), stop=len(s)))
+            if have != s:
+                raise NotASubgroup("element set is not a subgroup")
+            self._gens[s] = gens
         return gens
 
     def classes(self, seeds, gens):
         """Orbits under conjugation by ``gens`` of the elements ``seeds``."""
         mul, inv = self.mul, self.inv
-        conj = [(mul[g], inv[g]) for g in gens]
-        seen, orbits = set(), []
-        for x in seeds:
-            if x in seen:
-                continue
-            orbit, frontier = {x}, [x]
-            for y in frontier:
-                for row, gi in conj:
-                    z = mul[row[y]][gi]
-                    if z not in orbit:
-                        orbit.add(z)
-                        frontier.append(z)
-            seen |= orbit
-            orbits.append(orbit)
-        return orbits
+        # g y g^-1 = g (g y^-1)^-1, as a map on all indices at C speed
+        return _orbits(seeds, [_take(mul[g], _take(inv, _take(mul[g], inv))) for g in gens])
 
     def is_normal_in(self, sub, s):
         """Whether ``sub`` is stable under conjugation by the generators of ``s``."""

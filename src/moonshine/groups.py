@@ -1,13 +1,15 @@
 """Small finite permutation groups: conjugacy classes, normal subgroups,
 quotients, composition series and Jordan-Hoelder factor multisets.
 
-Elements are enumerated explicitly, by closure under the generators.  The
-structure queries (normal subgroups, simplicity, composition series and
-their factors) then run on integer indices, over a Cayley table that each
-group builds on first use by breadth-first search over its generators
-(:mod:`moonshine._cayley`).  Public methods still take and return
-frozensets of ``Perm``.  Conjugacy classes stay on ``Perm``s, so groups too
-large for a table (S8) still answer them.
+Elements are enumerated once, by breadth-first closure under the
+generators, which also records each generator's right and left
+multiplication maps on integer indices; apart from ``is_abelian``, those
+x * g are the only ``Perm`` products.  Conjugacy classes are orbits read
+off the maps, so groups too large for a table (S8) still answer them.
+Normality, quotients, normal subgroups, simplicity, composition series and
+their factors run over a Cayley table that each group builds on first use
+from its left maps (:mod:`moonshine._cayley`).  Public methods still take
+and return frozensets of ``Perm``.
 
 Two budgets raise ``CapExceeded`` before memory runs out: ``CLOSURE_LIMIT``
 bounds elements x degree while enumerating, and ``TABLE_LIMIT`` bounds the
@@ -150,81 +152,78 @@ class Perm:
         return "".join(cycles) or "()"
 
 
-def _closure(gens, degree, cap=None):
-    """Subgroup generated by ``gens``: breadth-first closure under products.
+def _take(seq, idx):
+    """``tuple(seq[i] for i in idx)`` for a non-empty ``idx``, at C speed."""
+    if len(idx) > 1:
+        return itemgetter(*idx)(seq)
+    return (seq[idx[0]],)
 
+
+def _orbits(seeds, maps):
+    """Orbits of the indices ``seeds`` under the index ``maps``, as sets, in
+    the order of their first seeds."""
+    seen, orbits = set(), []
+    for x in seeds:
+        if x not in seen:
+            orbit, frontier = {x}, [x]
+            for y in frontier:
+                for m in maps:
+                    if m[y] not in orbit:
+                        orbit.add(m[y])
+                        frontier.append(m[y])
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
+
+
+def _enumerate(gens, degree, cap=None):
+    """The frozenset of elements of <gens>, by breadth-first closure, and
+    ``(elems, index, right, left)``: the elements in sorted ``Perm`` order,
+    the index of each, and per non-identity generator s (keyed by index) the
+    maps ``right[s][x]`` and ``left[s][x]``, indexing x * s and s * x.  The
+    search's x * g are the group core's only ``Perm`` products; the left
+    maps follow the search tree, as x = p * t gives s * x = (s * p) * t.
     Raises CapExceeded past ``cap`` elements, or once elements x degree
     would pass CLOSURE_LIMIT.
     """
     room = CLOSURE_LIMIT // max(degree, 1)
     bound = room if cap is None else min(cap, room)
     ident = Perm.identity(degree)
-    elems = {ident}
-    frontier = [ident]
-    gens = [g for g in gens if g != ident]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = x * g
-                if y not in elems:
-                    if len(elems) >= bound:
-                        if bound == cap:
-                            raise CapExceeded(f"more than {cap} elements")
-                        raise CapExceeded(
-                            f"more than {room} elements of degree {degree}: elements x "
-                            f"degree passes CLOSURE_LIMIT = {CLOSURE_LIMIT}")
-                    elems.add(y)
-                    new.append(y)
-        frontier = new
-    return frozenset(elems)
+    gens = list(dict.fromkeys(g for g in gens if g != ident))
+    found, seen = [ident], {ident: 0}  # in search order: found[j + 1] is gens[j]
+    right = [[] for _ in gens]
+    tree = []  # found[i] = found[p] * gens[j] for (p, j) = tree[i - 1]
+    for i, x in enumerate(found):
+        for j, g in enumerate(gens):
+            y = x * g
+            k = seen.get(y)
+            if k is None:
+                if len(found) >= bound:
+                    raise CapExceeded(
+                        f"more than {cap} elements" if bound == cap else
+                        f"more than {room} elements of degree {degree}: elements x "
+                        f"degree passes CLOSURE_LIMIT = {CLOSURE_LIMIT}")
+                k = seen[y] = len(found)
+                found.append(y)
+                tree.append((i, j))
+            right[j].append(k)
+    left = [[r[0]] for r in right]
+    for lg in left:
+        for p, j in tree:
+            lg.append(right[j][lg[p]])
+    # Relabel from search order to sorted order.
+    order = sorted(range(len(found)), key=[p.images for p in found].__getitem__)
+    pos = sorted(range(len(found)), key=order.__getitem__)
+    elems = [found[i] for i in order]
+    keys = [pos[j + 1] for j in range(len(gens))]
 
-
-def _conj_classes_of(elements, gens):
-    """Conjugacy classes of the group ``elements`` = <gens>, sorted by rep."""
-    degree = len(next(iter(elements)).images)
-    pairs = [(g, g.inverse()) for g in gens]
-    seen = set()
-    classes = []
-    for x in sorted(elements):
-        if x in seen:
-            continue
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            new = []
-            for y in frontier:
-                for g, gi in pairs:
-                    z = g * y * gi
-                    if z not in orbit:
-                        orbit.add(z)
-                        new.append(z)
-            frontier = new
-        seen |= orbit
-        classes.append(frozenset(orbit))
-    return classes
+    def relabel(maps):
+        return {s: _take(pos, _take(m, order)) for s, m in zip(keys, maps)}
+    return frozenset(seen), (elems, dict(zip(found, pos)), relabel(right), relabel(left))
 
 
 def _is_prime(n):
     return n > 1 and all(n % p for p in range(2, math.isqrt(n) + 1))
-
-
-def _coset_group(elements, gens, normal, element_cap):
-    """Permutation group of the generators acting on the left cosets."""
-    reps = []
-    coset_index = {}
-    for x in sorted(elements):
-        if x in coset_index:
-            continue
-        idx = len(reps)
-        reps.append(x)
-        for h in normal:
-            coset_index[x * h] = idx
-    degree = len(reps)
-    images = []
-    for g in gens:
-        images.append(Perm._raw(tuple(coset_index[g * rep] for rep in reps)))
-    return PermGroup(max(degree, 1), images, element_cap=element_cap)
 
 
 @dataclass(frozen=True)
@@ -270,6 +269,7 @@ class PermGroup:
         self.element_cap = element_cap
         self.name = name or "G"
         self._elements = None
+        self._maps = None
         self._classes = None
         self._cayley = None
 
@@ -283,7 +283,8 @@ class PermGroup:
     @property
     def elements(self):
         if self._elements is None:
-            self._elements = _closure(self.generators, self.degree, cap=self.element_cap)
+            self._elements, self._maps = _enumerate(self.generators, self.degree,
+                                                    cap=self.element_cap)
         return self._elements
 
     @property
@@ -299,32 +300,28 @@ class PermGroup:
             # Imported on first use: without a bytecode cache, compiling the
             # index core costs every import of the package about 1 ms.
             from ._cayley import CayleyTable
-            self._cayley = CayleyTable(self.elements, self.generators)
+            elems, index, _, left = self._maps
+            self._cayley = CayleyTable(self.elements, elems, index, left)
         return self._cayley
 
     def conjugacy_classes(self):
+        """Conjugacy classes, in the order of their least elements: orbits of
+        x -> g x g^-1 = right[g]^-1[left[g][x]] over the generators g."""
         if self._classes is None:
-            sets = _conj_classes_of(self.elements, list(self.generators))
-            self._classes = [ConjClass(min(s), s) for s in sets]
+            _ = self.elements
+            elems, _, right, left = self._maps
+            conj = [_take(sorted(range(len(r)), key=r.__getitem__), left[s])
+                    for s, r in right.items()]
+            self._classes = [ConjClass(elems[min(o)], frozenset(_take(elems, tuple(o))))
+                             for o in _orbits(range(len(elems)), conj)]
         return self._classes
-
-    def _is_subgroup(self, subset) -> bool:
-        if not subset or not subset <= self.elements:
-            return False
-        if self.identity not in subset:
-            return False
-        return all(a * b in subset for a in subset for b in subset)
 
     def is_normal(self, subset) -> bool:
         """Whether the subgroup ``subset`` is normal (conjugation-stable)."""
-        h = frozenset(subset)
-        if not self._is_subgroup(h):
-            raise NotASubgroup("element set is not a subgroup")
-        for g in self.generators:
-            gi = g.inverse()
-            if any(g * x * gi not in h for x in h):
-                return False
-        return True
+        t = self._table()
+        h = t.indices(frozenset(subset))
+        t.generators(h)  # raises NotASubgroup unless h is a subgroup
+        return t.is_normal_in(h, t.all)
 
     def normal_subgroups(self):
         """All normal subgroups, sorted by order and then by element set."""
@@ -332,11 +329,19 @@ class PermGroup:
         return [t.perms(s) for s in t.lattice(t.all)]
 
     def quotient_group(self, normal_subset) -> "PermGroup":
-        """The quotient group, as the generator action on left cosets."""
+        """The quotient group, as the generator action on left cosets, which
+        are numbered in the order of their least elements."""
         n = frozenset(normal_subset)
         if not self.is_normal(n):
             raise NotNormal("subgroup is not normal")
-        return _coset_group(self.elements, list(self.generators), n, self.element_cap)
+        t = self._table()
+        # x N is the orbit of x under right multiplication by N's generators.
+        cosets = _orbits(range(len(t.mul)), [[row[h] for row in t.mul]
+                                             for h in t.generators(t.indices(n))])
+        coset = {x: i for i, c in enumerate(cosets) for x in c}
+        images = [Perm._raw(tuple(coset[t.mul[t.index[g]][min(c)]] for c in cosets))
+                  for g in self.generators]
+        return PermGroup(len(cosets), images, element_cap=self.element_cap)
 
     def is_abelian(self) -> bool:
         return all(a * b == b * a for a in self.generators for b in self.generators)
@@ -404,9 +409,15 @@ class PermGroup:
         return [tuple(map(t.perms, chain)) for chain in chains_for(t.all)]
 
     def factor_descriptors(self, chain):
-        """Descriptors of the consecutive quotients of a subgroup chain."""
+        """Descriptors of the consecutive quotients of a subgroup chain; raises
+        NotASubgroup or NotNormal unless each step is normal in the next."""
         t = self._table()
         chain = [t.indices(s) for s in chain]
+        for s in chain:
+            t.generators(s)  # raises NotASubgroup unless s is a subgroup
+        if not all(prev <= cur and t.is_normal_in(prev, cur)
+                   for prev, cur in zip(chain, chain[1:])):
+            raise NotNormal("a chain step is not a normal subgroup of the next")
         return tuple(sorted(
             FactorDescriptor(len(cur) // len(prev), t.is_abelian_over(cur, prev), True)
             for prev, cur in zip(chain, chain[1:])))

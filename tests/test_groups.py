@@ -2,6 +2,7 @@
 series, Jordan-Hoelder factors and class functions."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,8 +15,6 @@ from moonshine.groups import (
     Perm,
     FactorDescriptor,
     PermGroup,
-    _closure,
-    _conj_classes_of,
     alternating_group,
     class_fn_inner,
     class_indicator,
@@ -29,6 +28,41 @@ from moonshine.groups import (
 
 
 # -- Perm-level oracles: the element-set routines the index core replaced ---
+
+def _closure(gens, degree):
+    """Subgroup generated by ``gens``: breadth-first closure under products."""
+    ident = Perm.identity(degree)
+    elems, frontier = {ident}, [ident]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = x * g
+                if y not in elems:
+                    elems.add(y)
+                    new.append(y)
+        frontier = new
+    return frozenset(elems)
+
+
+def _conj_classes_of(elements, gens):
+    """Conjugacy classes of the group ``elements`` = <gens>, sorted by rep."""
+    pairs = [(g, g.inverse()) for g in gens]
+    seen, classes = set(), []
+    for x in sorted(elements):
+        if x in seen:
+            continue
+        orbit, frontier = {x}, [x]
+        for y in frontier:
+            for g, gi in pairs:
+                z = g * y * gi
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        seen |= orbit
+        classes.append(frozenset(orbit))
+    return classes
+
 
 def _set_key(subset):
     return tuple(sorted(p.images for p in subset))
@@ -112,22 +146,23 @@ def _oracle_all_series(elements, memo):
     return memo[elements]
 
 
-def _oracle_quotient(elements, normal):
-    """The quotient as a permutation group: generators acting on left cosets."""
+def _oracle_quotient(elements, normal, gens):
+    """The quotient as a permutation group: ``gens`` acting on left cosets."""
     reps, coset_index = [], {}
     for x in sorted(elements):
         if x not in coset_index:
             for h in normal:
                 coset_index[x * h] = len(reps)
             reps.append(x)
-    images = [Perm(coset_index[g * rep] for rep in reps)
-              for g in _oracle_generating_set(elements)]
+    images = [Perm(coset_index[g * rep] for rep in reps) for g in gens]
     return PermGroup(len(reps), images)
 
 
 def _oracle_descriptors(chain):
     return tuple(sorted(
-        FactorDescriptor(len(cur) // len(prev), _oracle_quotient(cur, prev).is_abelian(), True)
+        FactorDescriptor(len(cur) // len(prev),
+                         _oracle_quotient(cur, prev, _oracle_generating_set(cur)).is_abelian(),
+                         True)
         for prev, cur in zip(chain, chain[1:])))
 
 
@@ -175,6 +210,17 @@ def test_conjugacy_classes():
     assert a5.conjugacy_classes()[0].members == frozenset({a5.identity})
 
 
+def test_conjugacy_classes_match_perm_oracle():
+    groups = [cyclic_group(n) for n in range(1, 61)]
+    groups += [dihedral_group(n) for n in range(3, 31)]
+    groups += [alternating_group(n) for n in range(1, 8)]
+    groups += [symmetric_group(n) for n in range(1, 8)]
+    for g in groups:
+        oracle = _conj_classes_of(g.elements, g.generators)
+        assert [(c.representative, c.members) for c in g.conjugacy_classes()] == [
+            (min(s), s) for s in oracle], g.name
+
+
 def test_class_equation_randomized():
     rng = random.Random(3)
     cases = 0
@@ -214,6 +260,22 @@ def test_is_normal_rejects_non_subgroups():
         s3.factor_descriptors([frozenset({Perm.identity(4)}), s3.elements])
 
 
+def test_factor_descriptors_rejects_empty_step():
+    s3 = symmetric_group(3)
+    with pytest.raises(NotASubgroup):
+        s3.factor_descriptors([frozenset(), s3.elements])
+
+
+def test_factor_descriptors_rejects_non_normal_step():
+    # <(0 1)> is not normal in S3; its "factor" of order 3 is not a quotient
+    s3 = symmetric_group(3)
+    swap = frozenset({s3.identity, Perm.from_cycles(3, (0, 1))})
+    with pytest.raises(NotNormal):
+        s3.factor_descriptors([frozenset({s3.identity}), swap, s3.elements])
+    with pytest.raises(NotNormal):
+        s3.factor_descriptors([frozenset({s3.identity}), s3.elements, swap])
+
+
 def test_normal_subgroups():
     a5 = alternating_group(5)
     assert [len(s) for s in a5.normal_subgroups()] == [1, 60]
@@ -247,6 +309,15 @@ def test_quotient_group():
     s4 = symmetric_group(4)
     a4 = next(s for s in s4.normal_subgroups() if len(s) == 12)
     assert s4.quotient_group(a4).order == 2
+
+
+def test_quotient_generators_match_perm_oracle():
+    for g in (symmetric_group(4), symmetric_group(5), dihedral_group(6), dihedral_group(9),
+              cyclic_group(12), cyclic_group(18), alternating_group(4)):
+        for normal in g.normal_subgroups():
+            q = g.quotient_group(normal)
+            oracle = _oracle_quotient(g.elements, normal, g.generators)
+            assert (q.degree, q.generators) == (oracle.degree, oracle.generators), g.name
 
 
 def test_quotient_requires_normal():
@@ -419,12 +490,52 @@ def test_cayley_table_axioms():
             assert t.elems[t.inv[x]] == t.elems[x].inverse()
             for y in range(n):
                 assert t.mul[x][y] == t.index[t.elems[x] * t.elems[y]]
+        elems, index, right, left = g._maps
+        assert elems is t.elems and index is t.index
+        assert sorted(right) == sorted(left) == sorted({index[p] for p in g.generators})
+        for s in right:
+            assert t.mul[s] == tuple(left[s])
+            for x in range(n):
+                assert elems[right[s][x]] == elems[x] * elems[s]
+                assert elems[left[s][x]] == elems[s] * elems[x]
     t = symmetric_group(5)._table()
     rng = random.Random(11)
     for _ in range(500):
         x, y, z = (rng.randrange(120) for _ in range(3))
         assert t.mul[t.mul[x][y]][z] == t.mul[x][t.mul[y][z]]
         assert t.mul[x][t.inv[x]] == t.mul[t.inv[x]][x] == 0
+
+
+def test_one_enumeration_per_group(monkeypatch):
+    # The closure's x * g are the only Perm products: classes, the table,
+    # the lattice and normality all run on its maps.
+    products = 0
+    mul = Perm.__mul__
+
+    def counted(p, q):
+        nonlocal products
+        products += 1
+        return mul(p, q)
+
+    monkeypatch.setattr(Perm, "__mul__", counted)
+    for g in (symmetric_group(5), dihedral_group(100)):
+        products = 0
+        _ = g.elements
+        g.conjugacy_classes()
+        normals = g.normal_subgroups()
+        assert all(g.is_normal(s) for s in normals)
+        assert not g.is_normal(frozenset({g.identity, g.generators[-1]}))
+        assert products == g.order * len(g.generators), g.name
+
+
+def test_table_budget_stops_normality_and_quotients():
+    s8 = symmetric_group(8)
+    a8 = alternating_group(8).elements
+    for call in (s8.is_normal, s8.quotient_group):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match="TABLE_LIMIT"):
+            call(a8)
+        assert time.perf_counter() - start < 2.0
 
 
 def test_index_core_matches_perm_oracle():
