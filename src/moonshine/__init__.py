@@ -3,6 +3,7 @@ finite groups, and the numerology connecting the monster group to modular
 functions.
 """
 
+from ._errors import MoonshineError
 from .qseries import (
     BiLaurentSeries,
     LaurentSeries,
@@ -68,6 +69,7 @@ from .monster import (
     MONSTER_FACTS,
     CheckStatus,
     CoeffTable,
+    DataFormatError,
     Decomposition,
     IdentityCheck,
     InsufficientCoefficients,

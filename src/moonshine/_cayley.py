@@ -8,8 +8,10 @@ generators, whose maps come from the group's closure: it takes no ``Perm``
 products, and every row other than the identity's is its BFS parent's row
 mapped through one generator's map.  Subgroups grow coset by coset
 (Dimino's algorithm), and two normal subgroups join as their product set
-AB.  ``PermGroup`` builds one table per group on first use and converts to
-and from frozensets of ``Perm`` at its public methods.
+AB.  Each step sub < s of a chain is checked once per table, for normality,
+abelian and simple factor (:meth:`CayleyTable.factor`).  ``PermGroup``
+builds one table per group on first use and converts to and from
+frozensets of ``Perm`` at its public methods.
 """
 
 from __future__ import annotations
@@ -17,7 +19,11 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .groups import NotASubgroup, _orbits, _take
+from .groups import FactorDescriptor, NotASubgroup, _orbits, _take
+
+
+def _is_prime(n):
+    return n > 1 and all(n % p for p in range(2, math.isqrt(n) + 1))
 
 
 def _divisors(n):
@@ -63,6 +69,7 @@ class CayleyTable:
         self.all = frozenset(range(n))
         self._gens = {self.all: tuple(gens)}
         self._orders = {}
+        self._factors = {}
         self._perms = {self.all: elements}
         self._indices = {elements: self.all}
 
@@ -145,6 +152,35 @@ class CayleyTable:
         mul, inv = self.mul, self.inv
         return all(mul[mul[mul[a][b]][inv[a]]][inv[b]] in sub
                    for a, b in combinations(self.generators(s), 2))
+
+    def factor(self, sub, s):
+        """The descriptor of s/sub, or None unless ``sub`` is a normal
+        subgroup of the subgroup ``s``; each pair is checked once.
+
+        s/sub is simple when it is not trivial and its order is prime or
+        every conjugacy class of s outside ``sub`` generates s together with
+        ``sub``, that is, when no element has a smaller normal closure.
+        """
+        key = (sub, s)
+        if key not in self._factors:
+            desc = None
+            if sub <= s and self.is_normal_in(sub, s):
+                order = len(s) // len(sub)
+                simple = order > 1 and (_is_prime(order) or self._classes_generate(sub, s))
+                desc = FactorDescriptor(order, self.is_abelian_over(s, sub), simple)
+            self._factors[key] = desc
+        return self._factors[key]
+
+    def _classes_generate(self, sub, s):
+        """Whether each conjugacy class of s outside the normal subgroup
+        ``sub`` generates s together with ``sub``."""
+        sub_gens = self.generators(sub)
+        for cls in self.classes(s - sub, self.generators(s)):
+            have = set(sub)
+            self.grow(have, sub_gens, cls, stop=len(s))
+            if len(have) != len(s):
+                return False
+        return True
 
     def element_order(self, x):
         order = self._orders.get(x)

@@ -3,7 +3,9 @@
 All numbers are printed as exact decimals (rationals as num/den); the --json
 flag switches to newline-delimited JSON objects whose integers are encoded as
 strings, so consumers never face 64-bit overflow.  Exit codes: 0 success,
-1 a verification returned false, 2 usage or domain error.
+1 a verification returned false, 2 a usage error or one ``error:`` line for a
+:class:`MoonshineError` or ``OSError``; any other exception is a fault and
+propagates.  No budget or option is read from the environment.
 """
 
 from __future__ import annotations
@@ -11,13 +13,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import re
 import sys
 from fractions import Fraction
 
 from . import groups, modular, monster, sl2z
-from .qseries import UnknownCoefficient
+from ._errors import MoonshineError
 
 
 def _json_safe(value):
@@ -95,11 +96,6 @@ def _parse_matrix(text):
 _GROUP_NAME = re.compile(r"^([CDAS])(\d+)$")
 
 
-def _element_cap():
-    cap = os.environ.get("MOONSHINE_ELEMENT_CAP")
-    return int(cap) if cap else 100000
-
-
 def _parse_group(name):
     m = _GROUP_NAME.match(name)
     if not m:
@@ -109,7 +105,7 @@ def _parse_group(name):
     maker = {"C": groups.cyclic_group, "D": groups.dihedral_group,
              "A": groups.alternating_group, "S": groups.symmetric_group}[family]
     try:
-        return maker(n, element_cap=_element_cap())
+        return maker(n)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -342,17 +338,15 @@ def build_parser():
 def _parser():
     # Parsing leaves no state behind in the parser, and building one costs
     # far more than a parse, so one parser serves every call in the process.
-    # Types run at parse time, so MOONSHINE_ELEMENT_CAP is still read per call.
     return build_parser()
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        # Parsing builds the named group, whose budget check may refuse it.
+        args = _parser().parse_args(argv)
         return args.func(args)
-    except (modular.DomainError, modular.BudgetExceeded, sl2z.DegenerateBasis,
-            monster.InsufficientData, monster.InsufficientCoefficients, UnknownCoefficient,
-            groups.CapExceeded, groups.OrderTooLarge, ValueError, OSError) as exc:
+    except (MoonshineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

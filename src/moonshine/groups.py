@@ -11,13 +11,14 @@ their factors run over a Cayley table that each group builds on first use
 from its left maps (:mod:`moonshine._cayley`).  Public methods still take
 and return frozensets of ``Perm``.
 
-Two budgets raise ``CapExceeded`` before memory runs out: ``CLOSURE_LIMIT``
-bounds elements x degree while enumerating, and ``TABLE_LIMIT`` bounds the
-table's order^2 entries.  The per-group ``element_cap`` (default 100000)
-applies as well.  Composition-series factors are identified by (order,
-abelian, simple): a valid isomorphism-type proxy for simple groups below
-order 20160, where the first order collision between non-isomorphic simple
-groups occurs.
+Three constant budgets raise ``CapExceeded`` before memory runs out:
+``ELEMENT_LIMIT`` bounds a group's order and ``CLOSURE_LIMIT`` its elements
+x degree while enumerating, and ``TABLE_LIMIT`` bounds the table's order^2
+entries.  The family constructors compare their closed-form orders with the
+first two before building a generator, so ``S100000`` is refused at once.
+Composition-series factors are identified by (order, abelian, simple): a
+valid isomorphism-type proxy for simple groups below order 20160, where the
+first order collision between non-isomorphic simple groups occurs.
 """
 
 from __future__ import annotations
@@ -25,30 +26,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from itertools import accumulate
+from operator import itemgetter, mul
+
+from ._errors import MoonshineError
 
 
-class CapExceeded(RuntimeError):
-    """Enumeration or a Cayley table would pass an element cap or budget."""
+class CapExceeded(MoonshineError, RuntimeError):
+    """Enumeration or a Cayley table would pass one of the module's budgets."""
 
 
-class NotASubgroup(ValueError):
+class NotASubgroup(MoonshineError, ValueError):
     """The given element set is not a subgroup."""
 
 
-class NotNormal(ValueError):
+class NotNormal(MoonshineError, ValueError):
     """The given subgroup is not normal."""
 
 
-class OrderTooLarge(RuntimeError):
+class OrderTooLarge(MoonshineError, RuntimeError):
     """A composition factor is too large for order-based identification."""
 
 
-class ClassMismatch(ValueError):
+class ClassMismatch(MoonshineError, ValueError):
     """A class function is not defined on exactly the group's classes."""
 
 
 JH_ORDER_LIMIT = 20160  # first order shared by non-isomorphic simple groups
+# Group order: S8 (40320) fits, S9 (362880) does not.
+ELEMENT_LIMIT = 100000
 # Elements x degree while enumerating: 2^24 tuple slots, about 130 MB.
 # C4000 (16.0M) fits; C20000 would need about 3.2 GB.
 CLOSURE_LIMIT = 2 ** 24
@@ -176,18 +182,36 @@ def _orbits(seeds, maps):
     return orbits
 
 
-def _enumerate(gens, degree, cap=None):
+def _budget(degree):
+    """The most elements a group on ``degree`` points may have, and the
+    message that refuses one more: ELEMENT_LIMIT, or CLOSURE_LIMIT // degree
+    where that is smaller."""
+    room = CLOSURE_LIMIT // max(degree, 1)
+    if ELEMENT_LIMIT <= room:
+        return ELEMENT_LIMIT, f"more than ELEMENT_LIMIT = {ELEMENT_LIMIT} elements"
+    return room, (f"more than {room} elements of degree {degree}: elements x "
+                  f"degree passes CLOSURE_LIMIT = {CLOSURE_LIMIT}")
+
+
+def _admit(degree, orders):
+    """Refuse, as the closure would, a group on ``degree`` points whose order
+    is the last of the non-decreasing ``orders``, reading no more of them
+    than the budget needs."""
+    bound, message = _budget(degree)
+    if any(order > bound for order in orders):
+        raise CapExceeded(message)
+
+
+def _enumerate(gens, degree):
     """The frozenset of elements of <gens>, by breadth-first closure, and
     ``(elems, index, right, left)``: the elements in sorted ``Perm`` order,
     the index of each, and per non-identity generator s (keyed by index) the
     maps ``right[s][x]`` and ``left[s][x]``, indexing x * s and s * x.  The
     search's x * g are the group core's only ``Perm`` products; the left
     maps follow the search tree, as x = p * t gives s * x = (s * p) * t.
-    Raises CapExceeded past ``cap`` elements, or once elements x degree
-    would pass CLOSURE_LIMIT.
+    Raises CapExceeded once the group passes its :func:`_budget`.
     """
-    room = CLOSURE_LIMIT // max(degree, 1)
-    bound = room if cap is None else min(cap, room)
+    bound, message = _budget(degree)
     ident = Perm.identity(degree)
     gens = list(dict.fromkeys(g for g in gens if g != ident))
     found, seen = [ident], {ident: 0}  # in search order: found[j + 1] is gens[j]
@@ -199,10 +223,7 @@ def _enumerate(gens, degree, cap=None):
             k = seen.get(y)
             if k is None:
                 if len(found) >= bound:
-                    raise CapExceeded(
-                        f"more than {cap} elements" if bound == cap else
-                        f"more than {room} elements of degree {degree}: elements x "
-                        f"degree passes CLOSURE_LIMIT = {CLOSURE_LIMIT}")
+                    raise CapExceeded(message)
                 k = seen[y] = len(found)
                 found.append(y)
                 tree.append((i, j))
@@ -220,10 +241,6 @@ def _enumerate(gens, degree, cap=None):
     def relabel(maps):
         return {s: _take(pos, _take(m, order)) for s, m in zip(keys, maps)}
     return frozenset(seen), (elems, dict(zip(found, pos)), relabel(right), relabel(left))
-
-
-def _is_prime(n):
-    return n > 1 and all(n % p for p in range(2, math.isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
@@ -259,14 +276,13 @@ class PermGroup:
     so instances can be shared freely.
     """
 
-    def __init__(self, degree, generators, element_cap=100000, name=None):
+    def __init__(self, degree, generators, name=None):
         generators = tuple(generators)
         for g in generators:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
         self.degree = degree
         self.generators = generators
-        self.element_cap = element_cap
         self.name = name or "G"
         self._elements = None
         self._maps = None
@@ -283,8 +299,7 @@ class PermGroup:
     @property
     def elements(self):
         if self._elements is None:
-            self._elements, self._maps = _enumerate(self.generators, self.degree,
-                                                    cap=self.element_cap)
+            self._elements, self._maps = _enumerate(self.generators, self.degree)
         return self._elements
 
     @property
@@ -341,7 +356,7 @@ class PermGroup:
         coset = {x: i for i, c in enumerate(cosets) for x in c}
         images = [Perm._raw(tuple(coset[t.mul[t.index[g]][min(c)]] for c in cosets))
                   for g in self.generators]
-        return PermGroup(len(cosets), images, element_cap=self.element_cap)
+        return PermGroup(len(cosets), images)
 
     def is_abelian(self) -> bool:
         return all(a * b == b * a for a in self.generators for b in self.generators)
@@ -372,25 +387,16 @@ class PermGroup:
         return [t.perms(s) for s in chain]
 
     def _validate_chain(self, chain):
-        """Check a chain of index sets without the lattice that chose it.
-
-        Each step must be a proper subgroup that is conjugation-stable under
-        the generators of the next.  Each factor must be simple: of prime
-        order, or such that every conjugacy class outside the smaller group
-        generates the larger one together with it.
-        """
+        """Check a chain of index sets without the lattice that chose it:
+        each step must be a proper normal subgroup of the next, with a simple
+        factor by the table's own step check (``CayleyTable.factor``)."""
         t = self._table()
         for prev, cur in zip(chain, chain[1:]):
-            if not (prev < cur and t.is_normal_in(prev, cur)):
+            desc = t.factor(prev, cur) if prev < cur else None
+            if desc is None:
                 raise AssertionError("chain step is not normal")
-            if _is_prime(len(cur) // len(prev)):
-                continue
-            prev_gens = t.generators(prev)
-            for cls in t.classes(cur - prev, t.generators(cur)):
-                have = set(prev)
-                t.grow(have, prev_gens, cls, stop=len(cur))
-                if len(have) != len(cur):
-                    raise AssertionError("chain factor is not simple")
+            if not desc.is_simple:
+                raise AssertionError("chain factor is not simple")
 
     def all_composition_series(self):
         """Every composition series (all maximal-normal-subgroup choices)."""
@@ -415,12 +421,10 @@ class PermGroup:
         chain = [t.indices(s) for s in chain]
         for s in chain:
             t.generators(s)  # raises NotASubgroup unless s is a subgroup
-        if not all(prev <= cur and t.is_normal_in(prev, cur)
-                   for prev, cur in zip(chain, chain[1:])):
+        descs = [t.factor(prev, cur) for prev, cur in zip(chain, chain[1:])]
+        if None in descs:
             raise NotNormal("a chain step is not a normal subgroup of the next")
-        return tuple(sorted(
-            FactorDescriptor(len(cur) // len(prev), t.is_abelian_over(cur, prev), True)
-            for prev, cur in zip(chain, chain[1:])))
+        return tuple(sorted(descs))
 
     def jordan_holder_factors(self):
         """The factor multiset of any composition series, as a sorted tuple."""
@@ -468,33 +472,40 @@ def class_indicator(group: PermGroup, index: int) -> ClassFunction:
 
 # -- standard families -------------------------------------------------------
 
-def cyclic_group(n: int, element_cap=100000) -> PermGroup:
+# Each constructor refuses a group past its budget by its closed-form order,
+# before it builds a generator of n points.
+
+def cyclic_group(n: int) -> PermGroup:
     if n < 1:
         raise ValueError("n must be >= 1")
+    _admit(n, (n,))
     if n == 1:
-        return PermGroup(1, [], element_cap=element_cap, name="C1")
+        return PermGroup(1, [], name="C1")
     rot = Perm((i + 1) % n for i in range(n))
-    return PermGroup(n, [rot], element_cap=element_cap, name=f"C{n}")
+    return PermGroup(n, [rot], name=f"C{n}")
 
 
-def dihedral_group(n: int, element_cap=100000) -> PermGroup:
+def dihedral_group(n: int) -> PermGroup:
     """Symmetries of a regular n-gon acting on its vertices (order 2n)."""
     if n < 3:
         raise ValueError("the vertex action needs n >= 3")
+    _admit(n, (2 * n,))
     rot = Perm((i + 1) % n for i in range(n))
     flip = Perm((n - i) % n for i in range(n))
-    return PermGroup(n, [rot, flip], element_cap=element_cap, name=f"D{n}")
+    return PermGroup(n, [rot, flip], name=f"D{n}")
 
 
-def symmetric_group(n: int, element_cap=100000) -> PermGroup:
+def symmetric_group(n: int) -> PermGroup:
     if n < 1:
         raise ValueError("n must be >= 1")
+    _admit(n, accumulate(range(1, n + 1), mul))
     gens = [Perm.from_cycles(n, (i, i + 1)) for i in range(n - 1)]
-    return PermGroup(max(n, 1), gens, element_cap=element_cap, name=f"S{n}")
+    return PermGroup(n, gens, name=f"S{n}")
 
 
-def alternating_group(n: int, element_cap=100000) -> PermGroup:
+def alternating_group(n: int) -> PermGroup:
     if n < 1:
         raise ValueError("n must be >= 1")
+    _admit(n, (max(f // 2, 1) for f in accumulate(range(1, n + 1), mul)))
     gens = [Perm.from_cycles(n, (0, 1, i)) for i in range(2, n)]
-    return PermGroup(max(n, 1), gens, element_cap=element_cap, name=f"A{n}")
+    return PermGroup(n, gens, name=f"A{n}")

@@ -20,14 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
+from ._errors import MoonshineError
 from .qseries import LaurentSeries
 
 
-class DomainError(ValueError):
+class DomainError(MoonshineError, ValueError):
     """An argument is outside the operation's domain."""
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(MoonshineError, RuntimeError):
     """A request is past one of the module's work budgets."""
 
 

@@ -21,20 +21,26 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
-from .modular import BudgetExceeded, j_normalized
+from ._errors import MoonshineError
+from .modular import BudgetExceeded, DomainError, j_normalized
 from .qseries import BiLaurentSeries
 
 
-class InsufficientData(ValueError):
+class InsufficientData(MoonshineError, ValueError):
     """The embedded or supplied datasets are too short for the request."""
 
 
-class InsufficientCoefficients(ValueError):
+class InsufficientCoefficients(MoonshineError, ValueError):
     """The coefficient table does not reach the order the check needs."""
 
 
-class SearchSpaceTooLarge(RuntimeError):
+class SearchSpaceTooLarge(MoonshineError, RuntimeError):
     """The bounded decomposition search exceeded its node budget."""
+
+
+class DataFormatError(MoonshineError, ValueError):
+    """A coefficient or dimension table is malformed; a table read from a
+    file is named in the message, with the line where one applies."""
 
 
 # knz_verify(order) runs Newton's identity over order + 2 rows of order + 2
@@ -45,19 +51,36 @@ class SearchSpaceTooLarge(RuntimeError):
 KNZ_ORDER_LIMIT = 40
 
 
-def _read_table(text):
-    values = {}
-    for line in text.splitlines():
+def _read_table(data, name, first):
+    """The values of the UTF-8 ``index value`` lines in the bytes ``data``
+    of the file ``name``, whose indices must run first, first + 1, ... in
+    order.  Blank lines and ``#`` comments are skipped."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(f"{name}, line {line}: byte {data[exc.start]:#04x} "
+                              f"is not UTF-8 text") from None
+    values = []
+    for number, line in enumerate(text.split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        idx, val = line.split()
-        values[int(idx)] = int(val)
+        try:
+            index, value = map(int, line.split())
+        except ValueError:
+            raise DataFormatError(f"{name}, line {number}: expected two integers "
+                                  f"'index value'") from None
+        if index != first + len(values):
+            raise DataFormatError(f"{name}, line {number}: index {index} where "
+                                  f"{first + len(values)} is due")
+        values.append(value)
     return values
 
 
-def _resource_text(name):
-    return resources.files("moonshine.data").joinpath(name).read_text()
+def _resource_table(name, first):
+    return _read_table(resources.files("moonshine.data").joinpath(name).read_bytes(),
+                       name, first)
 
 
 @dataclass(frozen=True)
@@ -71,18 +94,17 @@ class CoeffTable:
     def __post_init__(self):
         for n, v in self.values.items():
             if type(v) is not int:
-                raise ValueError(f"c({n}) = {v!r} is not an int")
-        top = max(self.values)
-        if set(self.values) != set(range(-1, top + 1)):
-            raise ValueError("coefficient table must cover a contiguous range from -1")
-        if self.values[-1] != 1:
-            raise ValueError("c(-1) must be 1")
+                raise DataFormatError(f"c({n}) = {v!r} is not an int")
+        if set(self.values) != set(range(-1, len(self.values) - 1)):
+            raise DataFormatError("coefficient table must cover a contiguous range from -1")
+        if self.values.get(-1) != 1:
+            raise DataFormatError("c(-1) must be 1")
         if self.normalized and self.values.get(0, 0) != 0:
-            raise ValueError("normalized table must have c(0) = 0")
+            raise DataFormatError("normalized table must have c(0) = 0")
 
     @classmethod
     def from_resource(cls) -> "CoeffTable":
-        return cls(_read_table(_resource_text("j_coefficients.txt")), "embedded")
+        return cls(dict(enumerate(_resource_table("j_coefficients.txt", -1), -1)), "embedded")
 
     @classmethod
     def from_expansion(cls, order: int) -> "CoeffTable":
@@ -120,23 +142,28 @@ class IrrepDims:
     dims: tuple
 
     def __post_init__(self):
-        if not self.dims or self.dims[0] != 1:
-            raise ValueError("r_1 must be 1")
-        if any(a >= b for a, b in zip(self.dims, self.dims[1:])):
-            raise ValueError("dimensions must be strictly increasing")
+        if not self.dims:
+            raise DataFormatError("no dimensions")
+        if self.dims[0] != 1:
+            raise DataFormatError(f"r_1 must be 1, not {self.dims[0]}")
+        for i, (a, b) in enumerate(zip(self.dims, self.dims[1:]), 2):
+            if a >= b:
+                raise DataFormatError(f"dimensions must increase, but r_{i} = {b} <= r_{i - 1}")
 
     @classmethod
     def from_resource(cls) -> "IrrepDims":
-        table = _read_table(_resource_text("monster_irrep_dims.txt"))
-        return cls(tuple(table[i] for i in sorted(table)))
+        return cls(tuple(_resource_table("monster_irrep_dims.txt", 1)))
 
     @classmethod
     def from_file(cls, path) -> "IrrepDims":
-        with open(path) as fh:
-            table = _read_table(fh.read())
-        if set(table) != set(range(1, len(table) + 1)):
-            raise ValueError("irrep table must be indexed 1..k")
-        return cls(tuple(table[i] for i in sorted(table)))
+        """Dimensions from a file of ``index value`` lines indexed 1, 2, ...;
+        any fault raises DataFormatError naming the file."""
+        with open(path, "rb") as fh:
+            dims = tuple(_read_table(fh.read(), path, 1))
+        try:
+            return cls(dims)
+        except DataFormatError as exc:
+            raise DataFormatError(f"{path}: {exc}") from None
 
     @property
     def count(self) -> int:
@@ -348,7 +375,7 @@ def knz_verify(order: int, coeffs: CoeffTable | None = None,
     exponents work, so perturbed tables report their mismatches.
     """
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise DomainError("order must be >= 0")
     if order > KNZ_ORDER_LIMIT:
         raise BudgetExceeded(f"order {order} is past KNZ_ORDER_LIMIT = {KNZ_ORDER_LIMIT}")
     need = (order + 1) ** 2

@@ -24,16 +24,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from ._errors import MoonshineError
 
-class ZeroLeadingCoefficient(ArithmeticError):
+
+class ZeroLeadingCoefficient(MoonshineError, ArithmeticError):
     """The series is zero through its truncation order and cannot be inverted."""
 
 
-class UnknownCoefficient(LookupError):
+class UnknownCoefficient(MoonshineError, LookupError):
     """A coefficient at or past the truncation order was queried."""
 
 
-class RectangleMismatch(ValueError):
+class RectangleMismatch(MoonshineError, ValueError):
     """Two-variable operands live on different truncation rectangles."""
 
 

@@ -14,8 +14,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._errors import MoonshineError
 
-class DegenerateBasis(ValueError):
+
+class DegenerateBasis(MoonshineError, ValueError):
     """The two basis vectors are collinear over R (or one is zero)."""
 
 

@@ -1,11 +1,14 @@
 """Command-line surface: output formats, determinism, and exit codes."""
 
+import inspect
 import json
 import time
+import tracemalloc
 
 import pytest
 
-from moonshine import cli, groups, modular, monster
+import moonshine
+from moonshine import cli, groups, modular, monster, qseries, sl2z
 
 
 def run_cli(capsys, *argv):
@@ -136,12 +139,6 @@ def test_group_unknown_name(capsys):
     capsys.readouterr()
 
 
-def test_element_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("MOONSHINE_ELEMENT_CAP", "5")
-    code, _ = run_cli(capsys, "group", "--name", "C12", "--action", "factors")
-    assert code == 2
-
-
 def test_group_budgets_exit_2(capsys):
     # A8 and S8 would need Cayley tables of 406M and 1.6G entries; C20000's
     # elements alone would need about 3.2 GB of Perm tuples.
@@ -154,6 +151,27 @@ def test_group_budgets_exit_2(capsys):
         err = capsys.readouterr().err
         assert code == 2 and elapsed < 2.0, (name, elapsed)
         assert err.count("\n") == 1 and budget in err, err
+
+
+@pytest.mark.parametrize("name, budget", [
+    ("C1000000000", "CLOSURE_LIMIT"), ("D1000000000", "CLOSURE_LIMIT"),
+    ("S100000", "CLOSURE_LIMIT"), ("A100000", "CLOSURE_LIMIT"), ("S9", "ELEMENT_LIMIT")])
+def test_group_families_refused_before_allocation(capsys, name, budget):
+    # The constructors compare the closed-form order with the budget before
+    # building a generator: C1000000000 would otherwise need gigabytes.
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        code = cli.main(["group", "--name", name, "--action", "classes"])
+    finally:
+        elapsed = time.monotonic() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and elapsed < 2.0, (name, elapsed)
+    assert captured.out == "" and captured.err.count("\n") == 1, captured.err
+    assert budget in captured.err, captured.err
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_group_budgets_admit_s8_classes_and_s7_factors(capsys):
@@ -239,6 +257,76 @@ def test_mckay_with_wrong_irreps_fails(capsys, tmp_path):
     assert "fail" in out
 
 
+_DIMS = b"1 1\n2 196883\n3 21296876\n4 842609326\n5 18538750076\n"
+
+
+@pytest.mark.parametrize("content, where", [
+    (b"1 1\n2\n", "line 2"),                                   # one field
+    (b"1 1\n2 196883x\n", "line 2"),                           # not an integer
+    (b"# dims\n1 1\n2 196883\n3 \xff\xfe\n", "line 4"),         # not UTF-8
+    (b"", "no dimensions"),                                     # empty
+    (b"1 1\n2 196883\n4 842609326\n", "line 3"),               # index gap
+    (b"2 196883\n1 1\n", "line 1"),                             # unordered
+    (b"1 2\n" + _DIMS[4:], "r_1"),                              # r_1 is not 1
+    (_DIMS.replace(b"21296876", b"196883"), "r_3"),             # not increasing
+    (None, "Is a directory"),
+    (False, "No such file"),
+])
+def test_mckay_refuses_bad_irreps_files(capsys, tmp_path, content, where):
+    path = tmp_path / "dims.txt"
+    if content is None:
+        path.mkdir()
+    elif content is not False:
+        path.write_bytes(content)
+    code = cli.main(["mckay", "--irreps", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: "), captured.err
+    assert str(path) in captured.err and where in captured.err, captured.err
+
+
+def test_knz_negative_order_exits_2(capsys):
+    code = cli.main(["knz", "--order", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: order must be >= 0\n"
+
+
+def test_internal_faults_are_not_usage_errors(monkeypatch):
+    # Only MoonshineError and OSError mean a refused input; anything else
+    # is a fault and must surface as one, not as exit 2.
+    def broken(order):
+        raise ValueError("internal fault")
+    monkeypatch.setattr(modular, "j_expansion", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.main(["j", "--order", "3"])
+
+
+# Each exception class and the standard base it had before the common root.
+_BASES = {
+    "ZeroLeadingCoefficient": ArithmeticError, "UnknownCoefficient": LookupError,
+    "RectangleMismatch": ValueError, "DomainError": ValueError,
+    "BudgetExceeded": RuntimeError, "DegenerateBasis": ValueError,
+    "CapExceeded": RuntimeError, "NotASubgroup": ValueError, "NotNormal": ValueError,
+    "OrderTooLarge": RuntimeError, "ClassMismatch": ValueError,
+    "InsufficientData": ValueError, "InsufficientCoefficients": ValueError,
+    "SearchSpaceTooLarge": RuntimeError, "DataFormatError": ValueError,
+}
+
+
+def test_one_error_root():
+    exported = {name: value for name, value in vars(moonshine).items()
+                if inspect.isclass(value) and issubclass(value, BaseException)}
+    defined = {name: value for module in (qseries, modular, sl2z, groups, monster)
+               for name, value in vars(module).items()
+               if inspect.isclass(value) and issubclass(value, BaseException)
+               and value.__module__ == module.__name__}
+    assert set(exported) == set(defined) | {"MoonshineError"}
+    assert set(defined) == set(_BASES)
+    for name, cls in defined.items():
+        assert issubclass(cls, moonshine.MoonshineError) and issubclass(cls, _BASES[name]), name
+
+
 def test_knz(capsys):
     code, out = run_cli(capsys, "knz", "--order", "2")
     assert code == 0
@@ -315,12 +403,3 @@ def test_parser_reused_after_usage_error(capsys):
     assert cli._parser() is cli._parser()
     assert shared == _run_sequence(capsys, argvs, fresh=True)
     assert [code for code, _, _ in shared] == [2, 0, 2, 0, 2, 0]
-
-
-def test_element_cap_env_read_per_call(capsys, monkeypatch):
-    monkeypatch.delenv("MOONSHINE_ELEMENT_CAP", raising=False)
-    assert run_cli(capsys, "group", "--name", "C12", "--action", "factors")[0] == 0
-    monkeypatch.setenv("MOONSHINE_ELEMENT_CAP", "5")
-    assert run_cli(capsys, "group", "--name", "C12", "--action", "factors")[0] == 2
-    monkeypatch.delenv("MOONSHINE_ELEMENT_CAP")
-    assert run_cli(capsys, "group", "--name", "C12", "--action", "factors")[0] == 0

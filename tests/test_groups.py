@@ -194,9 +194,40 @@ def test_enumeration_examples():
     assert symmetric_group(4).order == 24
 
 
-def test_element_cap():
-    with pytest.raises(CapExceeded):
-        _ = symmetric_group(6, element_cap=100).order
+def test_element_cap(monkeypatch):
+    s6 = symmetric_group(6)
+    monkeypatch.setattr("moonshine.groups.ELEMENT_LIMIT", 100)
+    with pytest.raises(CapExceeded, match="ELEMENT_LIMIT = 100"):
+        _ = s6.order  # the closure refuses
+    with pytest.raises(CapExceeded, match="ELEMENT_LIMIT = 100"):
+        symmetric_group(6)  # the constructor refuses by the order 720
+    assert symmetric_group(4).order == 24
+
+
+def _refusal(build):
+    try:
+        build()
+    except CapExceeded as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("limit, value", [("ELEMENT_LIMIT", 24), ("CLOSURE_LIMIT", 60)])
+def test_family_budget_check_agrees_with_closure(monkeypatch, limit, value):
+    # Under small limits each constructor refuses exactly the groups whose
+    # closure refuses, with the same message, so the last admitted and the
+    # first refused n agree in every family.
+    families = [(cyclic_group, range(1, 30)), (dihedral_group, range(3, 16)),
+                (symmetric_group, range(1, 7)), (alternating_group, range(1, 7))]
+    built = [(maker, n, maker(n)) for maker, ns in families for n in ns]
+    monkeypatch.setattr(f"moonshine.groups.{limit}", value)
+    outcomes = set()
+    for maker, n, g in built:
+        refused = _refusal(lambda: maker(n))
+        assert refused == _refusal(lambda: PermGroup(g.degree, g.generators).order), g.name
+        assert refused is None or limit in refused
+        outcomes.add((maker, refused is None))
+    assert len(outcomes) == 8  # every family has admitted and refused members
 
 
 def test_conjugacy_classes():
@@ -274,6 +305,36 @@ def test_factor_descriptors_rejects_non_normal_step():
         s3.factor_descriptors([frozenset({s3.identity}), swap, s3.elements])
     with pytest.raises(NotNormal):
         s3.factor_descriptors([frozenset({s3.identity}), s3.elements, swap])
+
+
+def test_factor_descriptors_check_simplicity():
+    # A4 has the normal Klein four-group, and V4 has three subgroups of order
+    # 2, so neither factor is simple, though both chains are normal.
+    s4 = symmetric_group(4)
+    e = frozenset({s4.identity})
+    a4 = alternating_group(4).elements
+    v4 = frozenset({s4.identity, Perm.from_cycles(4, (0, 1), (2, 3)),
+                    Perm.from_cycles(4, (0, 2), (1, 3)), Perm.from_cycles(4, (0, 3), (1, 2))})
+    assert s4.factor_descriptors([e, a4, s4.elements]) == (
+        FactorDescriptor(2, True, True), FactorDescriptor(12, False, False))
+    assert s4.factor_descriptors([e, v4, s4.elements]) == (
+        FactorDescriptor(4, True, False), FactorDescriptor(6, False, False))
+    assert s4.factor_descriptors([e, e, s4.elements])[0] == FactorDescriptor(1, True, False)
+
+
+def test_factor_steps_are_checked_once_per_group(monkeypatch):
+    d = dihedral_group(60)
+    chains = d.all_composition_series()
+    t = d._table()
+    checked = []
+    real = t.is_normal_in
+    monkeypatch.setattr(t, "is_normal_in", lambda sub, s: checked.append((sub, s)) or real(sub, s))
+    first = [d.factor_descriptors(chain) for chain in chains]
+    d.composition_series()
+    assert [d.factor_descriptors(chain) for chain in chains] == first
+    steps = {(t.indices(a), t.indices(b)) for chain in chains for a, b in zip(chain, chain[1:])}
+    assert sum(len(chain) - 1 for chain in chains) > len(steps)  # chains share steps
+    assert sorted(checked, key=repr) == sorted(steps, key=repr)
 
 
 def test_normal_subgroups():

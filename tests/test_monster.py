@@ -91,6 +91,8 @@ def test_coeff_table_invariants(coeffs):
     for value in (0.5, Fraction(1), Fraction(1, 2), True, "3"):
         with pytest.raises(ValueError, match=r"c\(3\)"):
             coeffs.with_value(3, value)
+    with pytest.raises(monster.DataFormatError, match=r"c\(-1\)"):
+        CoeffTable({}, "empty")
 
 
 def test_irrep_dims_invariants(dims):
@@ -102,6 +104,8 @@ def test_irrep_dims_invariants(dims):
         IrrepDims((2, 3))
     with pytest.raises(ValueError):
         IrrepDims((1, 5, 5))
+    with pytest.raises(monster.DataFormatError, match="no dimensions"):
+        IrrepDims(())
     with pytest.raises(InsufficientData):
         dims.r(6)
 
