@@ -54,7 +54,18 @@ def _frac_str(v):
     return f"{v.numerator}/{v.denominator}"
 
 
+def _check_digits(text):
+    """Refuse an integer longer than the interpreter's int/str digit limit,
+    which int() and Fraction() would report as malformed, echoing it whole."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    longest = max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
+    if limit and longest > limit:
+        raise MoonshineError(f"an integer argument has {longest} digits, more than the "
+                             f"limit of {limit} (sys.get_int_max_str_digits())")
+
+
 def _parse_fraction(text):
+    _check_digits(text)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -83,6 +94,7 @@ def _parse_matrix(text):
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("expected a matrix as a,b,c,d")
+    _check_digits(text)
     try:
         entries = [int(p) for p in parts]
     except ValueError as exc:

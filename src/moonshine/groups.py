@@ -55,10 +55,14 @@ class ClassMismatch(MoonshineError, ValueError):
 JH_ORDER_LIMIT = 20160  # first order shared by non-isomorphic simple groups
 # Group order: S8 (40320) fits, S9 (362880) does not.
 ELEMENT_LIMIT = 100000
-# Elements x degree while enumerating: 2^24 tuple slots, about 130 MB.
-# C4000 (16.0M) fits; C20000 would need about 3.2 GB.
+# The two budgets below count entries, not bytes.  Peak RSS of one CLI call
+# on the largest admitted inputs (Python 3.11, x86-64): C4096 classes 224 MB,
+# S7 factors 215 MB, C4096 factors 275 MB, D2896 factors 407 MB.
+# Elements x degree while enumerating: C4096 (2^24) fits, C20000 (25 times
+# as many entries) does not.
 CLOSURE_LIMIT = 2 ** 24
-# Cayley table entries, order^2: S7 (25.4M) fits, A8 (406M) does not.
+# Cayley table entries, order^2: S7 (25.4M) and D2896 (33.5M) fit, A8 (406M)
+# does not.
 TABLE_LIMIT = 2 ** 25
 
 

@@ -6,6 +6,10 @@ comparison (domain membership, orbit equality) is decided exactly.  The
 corner points rho and rho^2 have irrational imaginary part and are therefore
 not representable; boundary identification only ever involves the vertical
 edges and the unit arc.
+
+Reduction is Gauss-Lagrange reduction of the integer binary quadratic form
+whose root is tau (H. Cohen, A Course in Computational Algebraic Number
+Theory, section 5.4); words are decomposed and evaluated on integer entries.
 """
 
 from __future__ import annotations
@@ -138,23 +142,19 @@ def in_fundamental_domain(tau: UpperHalfPoint) -> bool:
 # point with a large real part would otherwise materialise millions of
 # letters.
 
-def t_moves(k: int) -> list[tuple[str, int]]:
-    return [("T", k)] if k else []
-
-
 def evaluate_word(word) -> PSLElement:
     """Left-to-right product of the generator moves."""
-    acc = IDENTITY
+    a, b, c, d = 1, 0, 0, 1
     for gen, exp in word:
         if gen == "T":
-            acc = acc * t_power(exp)
+            b, d = a * exp + b, c * exp + d
         elif gen == "S":
             if exp != 1:
                 raise ValueError("S moves carry exponent 1 (S is an involution in PSL)")
-            acc = acc * S
+            a, b, c, d = b, -a, d, -c
         else:
             raise ValueError(f"unknown generator {gen!r}")
-    return acc
+    return PSLElement(Mat2Z(a, b, c, d))
 
 
 def word_to_str(word) -> str:
@@ -173,74 +173,70 @@ def reduce_to_fundamental(tau: UpperHalfPoint):
     """Reduce tau into the fundamental domain.
 
     Returns (tau*, M, word) with |tau*| >= 1, -1/2 <= Re(tau*) < 1/2,
-    moebius(M, tau) == tau* and evaluate_word(word) == M.  The loop translates
-    the real part into [-1/2, 1/2) and inverts while |tau| < 1; every
-    inversion strictly increases the imaginary part, which is bounded on the
-    orbit, so the loop terminates.
+    moebius(M, tau) == tau* and evaluate_word(word) == M.  With n the common
+    denominator of x and y, tau is the root of the form (a, b, c) =
+    n^2 * (1, -2x, x^2 + y^2): Re(tau) = -b/2a and |tau|^2 = c/a.  T^-k with
+    k = floor(Re(tau) + 1/2) = (a - b) // 2a maps it to (a, b + 2ak,
+    c + bk + ak^2), and while c < a, S maps it to (c, -b, a).  Each S step
+    lowers the positive integer a, so the loop ends.  The discriminant
+    -(2ny)^2 is invariant, so Im(tau*) = n^2 * y / a.
     """
     x, y = tau.x, tau.y
-    m = IDENTITY
+    n = math.lcm(x.denominator, y.denominator)
+    u, v = x.numerator * (n // x.denominator), y.numerator * (n // y.denominator)
+    a, b, c = n * n, -2 * u * n, u * u + v * v
+    ma, mb, mc, md = 1, 0, 0, 1
     applied: list[tuple[str, int]] = []
-    half = Fraction(1, 2)
     while True:
-        k = math.floor(x + half)
+        k = (a - b) // (2 * a)
         if k:
-            x -= k
-            m = t_power(-k) * m
-            applied.extend(t_moves(-k))
-        norm = x * x + y * y
-        if norm < 1:
-            x, y = -x / norm, y / norm
-            m = S * m
-            applied.append(("S", 1))
-        else:
+            b, c = b + 2 * a * k, c + (b + a * k) * k
+            ma, mb = ma - k * mc, mb - k * md
+            applied.append(("T", -k))
+        if c >= a:
             break
-    word = tuple(reversed(applied))
-    return UpperHalfPoint(x, y), m, word
-
-
-def _normalize_boundary(tau: UpperHalfPoint):
-    """Canonical representative for reduced points on the domain boundary.
-
-    Points on the unit arc are moved to Re <= 0 (via S), points on the
-    Re = 1/2 edge to Re = -1/2 (via T^-1); interior points pass through.
-    """
-    half = Fraction(1, 2)
-    if tau.norm_sq() == 1 and tau.x > 0:
-        return moebius(S, tau), S
-    if tau.x == half:
-        return UpperHalfPoint(tau.x - 1, tau.y), t_power(-1)
-    return tau, IDENTITY
+        a, b, c = c, -b, a
+        ma, mb, mc, md = -mc, -md, ma, mb
+        applied.append(("S", 1))
+    star = UpperHalfPoint(Fraction(-b, 2 * a), Fraction(v * n, a))
+    return star, PSLElement(Mat2Z(ma, mb, mc, md)), tuple(reversed(applied))
 
 
 def tau_equivalent(tau1: UpperHalfPoint, tau2: UpperHalfPoint):
-    """A matrix M with M.tau1 == tau2 if the points share an orbit, else None."""
-    t1, m1, _ = reduce_to_fundamental(tau1)
-    t2, m2, _ = reduce_to_fundamental(tau2)
-    t1, n1 = _normalize_boundary(t1)
-    t2, n2 = _normalize_boundary(t2)
-    if t1 == t2:
-        return (n2 * m2).inverse() * (n1 * m1)
-    return None
+    """A matrix M with M.tau1 == tau2 if the points share an orbit, else None.
+
+    Reduction never returns Re = 1/2, so the one boundary identification
+    left moves a reduced point on the unit arc with Re > 0 to (-x, y) by S.
+    """
+    ends = []
+    for tau in (tau1, tau2):
+        star, m, _ = reduce_to_fundamental(tau)
+        if star.x > 0 and star.norm_sq() == 1:
+            star, m = UpperHalfPoint(-star.x, star.y), S * m
+        ends.append((star, m))
+    (t1, m1), (t2, m2) = ends
+    return m2.inverse() * m1 if t1 == t2 else None
 
 
 def word_decompose(elem: PSLElement):
     """A generator word evaluating to ``elem`` in PSL.
 
     Euclidean reduction on the first column: repeatedly strip the nearest
-    T-power and invert until the lower-left entry vanishes, then read off the
-    remaining translation.  Any valid word is acceptable; this one has
-    O(log |entries|) moves.
+    T-power k = floor(a/c + 1/2) = (2a + c) // 2c and invert until the
+    lower-left entry vanishes, then read off the remaining translation.  Any
+    valid word is acceptable; this one has O(log |entries|) moves.
     """
     a, b, c, d = elem.rep.entries()
     word: list[tuple[str, int]] = []
     while c != 0:
-        k = math.floor(Fraction(a, c) + Fraction(1, 2))
-        a1, b1 = a - k * c, b - k * d
-        a, b, c, d = -c, -d, a1, b1
-        word.extend(t_moves(k))
+        k = (2 * a + c) // (2 * c)
+        a, b, c, d = -c, -d, a - k * c, b - k * d
+        if k:
+            word.append(("T", k))
         word.append(("S", 1))
-    word.extend(t_moves(b if a == 1 else -b))
+    tail = b if a == 1 else -b
+    if tail:
+        word.append(("T", tail))
     return tuple(word)
 
 

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import sys
 import time
 import tracemalloc
 
@@ -110,6 +111,32 @@ def test_word_rejects_non_unimodular(capsys):
         cli.main(["word", "--matrix", "2,0,0,2"])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+BIG = "1" + "0" * 5000  # 10^5000, longer than the default int/str digit limit
+
+
+@pytest.mark.parametrize("argv", [
+    ["word", "--matrix", f"1,{BIG},0,1"],
+    ["reduce", "--tau", f"{BIG},1"],
+    ["reduce", "--tau", f"0,1/{BIG}"],
+    ["lattice", "--b1", f"{BIG},1", "1,0", "--b2", "0,1", "1,0"],
+], ids=["word", "reduce", "reduce-denominator", "lattice"])
+def test_integers_past_the_digit_limit_exit_2(capsys, argv):
+    limit = sys.get_int_max_str_digits()
+    assert 0 < limit < 5001
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200
+    assert "5001 digits" in captured.err and f"limit of {limit}" in captured.err
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_integers_at_the_digit_limit_are_accepted(capsys):
+    entry = "1" + "0" * (sys.get_int_max_str_digits() - 1)
+    code, out = run_cli(capsys, "word", "--matrix", f"1,{entry},0,1")
+    assert code == 0 and out == f"word T^{entry}\n"
 
 
 def test_group_factors(capsys):

@@ -1,6 +1,7 @@
 """Moebius action, fundamental-domain reduction, generator words, and
 lattice-basis equivalence; all comparisons exact."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -229,3 +230,138 @@ def test_lattice_same_degenerate():
         lattice_same(LatticeBasis((1, 0), (2, 0)), LatticeBasis((0, 1), (1, 0)))
     with pytest.raises(DegenerateBasis):
         lattice_same(LatticeBasis((0, 1), (1, 0)), LatticeBasis((1, 0), (2, 0)))
+
+
+# -- oracles: the former Fraction loops -------------------------------------
+
+def _reduce_oracle(tau):
+    """Translate Re(tau) into [-1/2, 1/2) and invert while |tau| < 1, on
+    Fractions, building the matrix as a PSL product at every move."""
+    x, y = tau.x, tau.y
+    m = IDENTITY
+    applied = []
+    while True:
+        k = math.floor(x + F(1, 2))
+        if k:
+            x -= k
+            m = t_power(-k) * m
+            applied.append(("T", -k))
+        norm = x * x + y * y
+        if norm >= 1:
+            return UpperHalfPoint(x, y), m, tuple(reversed(applied))
+        x, y = -x / norm, y / norm
+        m = S * m
+        applied.append(("S", 1))
+
+
+def _equivalent_oracle(tau1, tau2):
+    """Reduce both points, move the unit arc's Re > 0 half by S and the edge
+    Re = 1/2 by T^-1, then compare."""
+    ends = []
+    for tau in (tau1, tau2):
+        star, m, _ = _reduce_oracle(tau)
+        if star.norm_sq() == 1 and star.x > 0:
+            star, m = moebius(S, star), S * m
+        elif star.x == F(1, 2):
+            star, m = UpperHalfPoint(star.x - 1, star.y), t_power(-1) * m
+        ends.append((star, m))
+    (t1, m1), (t2, m2) = ends
+    return m2.inverse() * m1 if t1 == t2 else None
+
+
+def _word_oracle(elem):
+    """Euclid on the first column with k = floor(a/c + 1/2) taken on a
+    Fraction; also reports whether some step saw c < 0."""
+    a, b, c, d = elem.rep.entries()
+    word, negative = [], False
+    while c != 0:
+        negative |= c < 0
+        k = math.floor(F(a, c) + F(1, 2))
+        a, b, c, d = -c, -d, a - k * c, b - k * d
+        if k:
+            word.append(("T", k))
+        word.append(("S", 1))
+    tail = b if a == 1 else -b
+    if tail:
+        word.append(("T", tail))
+    return tuple(word), negative
+
+
+def _deep_point(rng):
+    """As the benchmark's deep points: bounds 10^20..10^30, Im near 10^-e."""
+    b = 10 ** rng.randint(20, 30)
+    return UpperHalfPoint(F(rng.randint(-b, b), rng.randint(1, b)),
+                          F(rng.randint(1, b), rng.randint(1, b) * b))
+
+
+ARC = [UpperHalfPoint(F(x, r), F(y, r)) for x, y, r in
+       ((3, 4, 5), (-3, 4, 5), (7, 24, 25), (-7, 24, 25), (5, 12, 13), (-5, 12, 13),
+        (8, 15, 17), (-8, 15, 17), (12, 35, 37), (-12, 35, 37), (0, 1, 1))]
+EDGES = [UpperHalfPoint(F(s, 2), y) for s in (-1, 1, 3, -3, 7)
+         for y in (F(7, 8), 1, F(3, 2), 5)]
+# Reduces to the arc point +-5/13 + 12i/13 only after several S steps.
+ARC_IMAGE = moebius(S * T * T * S * t_power(-3) * S * T * S, ARC[4])
+
+
+def test_reduce_matches_fraction_oracle():
+    rng = random.Random(2024)
+    star, _, word = reduce_to_fundamental(ARC_IMAGE)
+    assert star in ARC[4:6] and sum(gen == "S" for gen, _ in word) >= 3
+    points = [_deep_point(rng) for _ in range(300)] + ARC + EDGES + [ARC_IMAGE]
+    points += [_random_point(rng) for _ in range(300)]
+    points += [moebius(_random_element(rng, 20), tau) for tau in ARC + EDGES for _ in range(5)]
+    for tau in points:
+        star, m, word = reduce_to_fundamental(tau)
+        assert (star, m, word) == _reduce_oracle(tau)
+        assert -F(1, 2) <= star.x < F(1, 2) and star.norm_sq() >= 1
+
+
+def test_reduce_deep_points_exactly():
+    rng = random.Random(11)
+    inversions = 0
+    for _ in range(100):
+        tau = _deep_point(rng)
+        star, m, word = reduce_to_fundamental(tau)
+        assert in_fundamental_domain(star)
+        assert moebius(m, tau) == star and evaluate_word(word) == m
+        inversions += sum(gen == "S" for gen, _ in word)
+    assert inversions > 100 * 10
+
+
+def test_tau_equivalent_matches_fraction_oracle():
+    rng = random.Random(77)
+    pairs = [(p, q) for p in ARC for q in ARC] + [(p, q) for p in EDGES for q in EDGES]
+    pairs += [(_deep_point(rng), _deep_point(rng)) for _ in range(30)]
+    same_orbit = [(ARC_IMAGE, ARC[4]), (ARC_IMAGE, ARC[5])]
+    for tau in ARC + EDGES + [_deep_point(rng) for _ in range(20)]:
+        for _ in range(3):
+            image = moebius(_random_element(rng, 20), tau)
+            same_orbit += [(image, tau), (tau, image)]
+            pairs.append((image, UpperHalfPoint(-tau.x, tau.y)))
+    for k, (tau1, tau2) in enumerate(pairs + same_orbit):
+        m = tau_equivalent(tau1, tau2)
+        assert m == _equivalent_oracle(tau1, tau2)
+        assert m is None or moebius(m, tau1) == tau2
+        assert m is not None or k < len(pairs)
+
+
+def test_word_decompose_matches_fraction_oracle():
+    rng = random.Random(5)
+    elems = [_random_element(rng, 20) for _ in range(400)]
+    elems += [PSLElement(Mat2Z(a, b, c, d)) for a, b, c, d in
+              ((2, 1, 1, 1), (1, 0, -3, 1), (5, -2, -7, 3), (-4, 3, 5, -4), (0, -1, 1, 7))]
+    negative = 0
+    for elem in elems:
+        word, saw_negative = _word_oracle(elem)
+        negative += saw_negative
+        assert word_decompose(elem) == word
+        assert evaluate_word(word) == elem
+    assert negative > 50
+
+
+def test_evaluate_word_refuses_bad_moves():
+    with pytest.raises(ValueError, match="exponent 1"):
+        evaluate_word((("T", 2), ("S", 2)))
+    with pytest.raises(ValueError, match="unknown generator"):
+        evaluate_word((("U", 1),))
+    assert evaluate_word((("T", 0), ("S", 1), ("S", 1))) == IDENTITY
