@@ -19,7 +19,6 @@ from .modular import (
     bernoulli,
     discriminant,
     eisenstein_normalized,
-    eta_product_delta,
     j_expansion,
     j_normalized,
     sigma,

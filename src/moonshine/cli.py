@@ -2,7 +2,9 @@
 
 All numbers are printed as exact decimals (rationals as num/den); the --json
 flag switches to newline-delimited JSON objects whose integers are encoded as
-strings, so consumers never face 64-bit overflow.  Exit codes: 0 success,
+strings, so consumers never face 64-bit overflow.  A number past the
+interpreter's int/str digit limit, in an argument or in a result, is an
+``error:`` line, not a traceback.  Exit codes: 0 success,
 1 a verification returned false, 2 a usage error or one ``error:`` line for a
 :class:`MoonshineError` or ``OSError``; any other exception is a fault and
 propagates.  No budget or option is read from the environment.
@@ -21,13 +23,24 @@ from . import groups, modular, monster, sl2z
 from ._errors import MoonshineError
 
 
+def _int_str(n):
+    """Decimal text of the int ``n``; every number the CLI prints goes
+    through here.  A result longer than the interpreter's int/str digit
+    limit is refused with one line instead of str()'s ValueError."""
+    try:
+        return str(n)
+    except ValueError:
+        raise MoonshineError(f"a result has more than {sys.get_int_max_str_digits()} digits, "
+                             "the limit of sys.get_int_max_str_digits()") from None
+
+
 def _json_safe(value):
     if isinstance(value, bool) or value is None:
         return value
     if isinstance(value, int):
-        return str(value)
+        return _int_str(value)
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return _frac_str(value)
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
     if isinstance(value, dict):
@@ -44,24 +57,30 @@ def _emit(args, record, human_lines):
 
 
 def _coeff_str(c):
-    if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
-    return str(c)
+    return _frac_str(c) if isinstance(c, Fraction) else _int_str(c)
 
 
 def _frac_str(v):
-    v = Fraction(v)
-    return f"{v.numerator}/{v.denominator}"
+    """An int or Fraction as num/den."""
+    return f"{_int_str(v.numerator)}/{_int_str(v.denominator)}"
 
 
 def _check_digits(text):
     """Refuse an integer longer than the interpreter's int/str digit limit,
-    which int() and Fraction() would report as malformed, echoing it whole."""
+    which int() and Fraction() would report as malformed, echoing it whole,
+    and a decimal exponent past it, for which Fraction() would build 10^e."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    longest = max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0)
-    if limit and longest > limit:
+    if not limit:
+        return
+    text = text.replace("_", "")
+    longest = max(map(len, re.findall(r"\d+", text)), default=0)
+    if longest > limit:
         raise MoonshineError(f"an integer argument has {longest} digits, more than the "
                              f"limit of {limit} (sys.get_int_max_str_digits())")
+    exponent = max((abs(int(e)) for e in re.findall(r"[eE]([-+]?\d+)", text)), default=0)
+    if exponent > limit:
+        raise MoonshineError(f"a decimal exponent of {exponent} is past the limit of "
+                             f"{limit} (sys.get_int_max_str_digits())")
 
 
 def _parse_fraction(text):
@@ -123,11 +142,11 @@ def _parse_group(name):
 
 
 def _series_lines(series, lo, hi):
-    return [f"{n} {_coeff_str(series.coefficient(n))}" for n in range(lo, hi)]
+    return [f"{_int_str(n)} {_coeff_str(series.coefficient(n))}" for n in range(lo, hi)]
 
 
 def _series_record(series, lo, hi):
-    return {"coefficients": {str(n): series.coefficient(n) for n in range(lo, hi)}}
+    return {"coefficients": {_int_str(n): series.coefficient(n) for n in range(lo, hi)}}
 
 
 def cmd_j(args):
@@ -157,13 +176,13 @@ def cmd_reduce(args):
     record = {
         "tau": [tau_star.x, tau_star.y],
         "matrix": list(m.rep.entries()),
-        "word": sl2z.word_to_str(word),
+        "word": sl2z.word_to_str(word, _int_str),
         "in_domain": sl2z.in_fundamental_domain(tau_star),
     }
     lines = [
         f"tau {_frac_str(tau_star.x)} {_frac_str(tau_star.y)}",
-        "matrix " + " ".join(map(str, m.rep.entries())),
-        f"word {sl2z.word_to_str(word)}",
+        "matrix " + " ".join(map(_int_str, m.rep.entries())),
+        f"word {sl2z.word_to_str(word, _int_str)}",
     ]
     _emit(args, record, lines)
     return 0
@@ -175,7 +194,7 @@ def cmd_equiv(args):
         _emit(args, {"equivalent": False}, ["equivalent false"])
     else:
         _emit(args, {"equivalent": True, "matrix": list(m.rep.entries())},
-              ["equivalent true", "matrix " + " ".join(map(str, m.rep.entries()))])
+              ["equivalent true", "matrix " + " ".join(map(_int_str, m.rep.entries()))])
     return 0
 
 
@@ -188,15 +207,15 @@ def cmd_lattice(args):
     else:
         flat = [m[0][0], m[0][1], m[1][0], m[1][1]]
         _emit(args, {"same_lattice": True, "matrix": flat},
-              ["same-lattice true", "matrix " + " ".join(map(str, flat))])
+              ["same-lattice true", "matrix " + " ".join(map(_int_str, flat))])
     return 0
 
 
 def cmd_word(args):
     word = sl2z.word_decompose(args.matrix)
     check = sl2z.evaluate_word(word) == args.matrix
-    _emit(args, {"word": sl2z.word_to_str(word), "verified": check},
-          [f"word {sl2z.word_to_str(word)}"])
+    _emit(args, {"word": sl2z.word_to_str(word, _int_str), "verified": check},
+          [f"word {sl2z.word_to_str(word, _int_str)}"])
     return 0 if check else 1
 
 
@@ -204,16 +223,16 @@ def cmd_group(args):
     g = args.name
     if args.action == "classes":
         classes = g.conjugacy_classes()
-        lines = [f"{c.size} {c.representative!r}" for c in classes]
+        lines = [f"{_int_str(c.size)} {c.representative!r}" for c in classes]
         record = {"group": g.name, "order": g.order,
                   "class_sizes": [c.size for c in classes]}
     elif args.action == "series":
         chain = g.composition_series()
-        lines = ["orders " + " ".join(str(len(s)) for s in chain)]
+        lines = ["orders " + " ".join(_int_str(len(s)) for s in chain)]
         record = {"group": g.name, "subgroup_orders": [len(s) for s in chain]}
     else:
         factors = g.jordan_holder_factors()
-        lines = [" ".join(str(d.order) for d in factors)]
+        lines = [" ".join(_int_str(d.order) for d in factors)]
         record = {"group": g.name, "factor_orders": [d.order for d in factors],
                   "abelian": [d.is_abelian for d in factors]}
     _emit(args, record, lines)
@@ -236,9 +255,10 @@ def cmd_mckay(args):
             rows.append({"label": chk.label, "status": chk.status.value})
             continue
         ok = ok and chk.status is monster.CheckStatus.PASS
-        mults = " + ".join(f"{m}*r{i + 1}" for i, m in enumerate(chk.decomposition.multiplicities) if m)
-        lines.append(f"{chk.label} = {chk.coefficient} vs {mults} = "
-                     f"{chk.decomposition.total}: {chk.status.value}")
+        mults = " + ".join(f"{_int_str(m)}*r{_int_str(i + 1)}"
+                           for i, m in enumerate(chk.decomposition.multiplicities) if m)
+        lines.append(f"{chk.label} = {_int_str(chk.coefficient)} vs {mults} = "
+                     f"{_int_str(chk.decomposition.total)}: {chk.status.value}")
         rows.append({"label": chk.label, "status": chk.status.value,
                      "coefficient": chk.coefficient, "sum": chk.decomposition.total,
                      "multiplicities": list(chk.decomposition.multiplicities)})
@@ -251,7 +271,7 @@ def cmd_knz(args):
     lines = [f"equal: {'true' if result.equal else 'false'}"]
     mism = result.mismatches()
     for m, n, a, b in mism[:20]:
-        lines.append(f"p^{m} q^{n}: lhs {a} rhs {b}")
+        lines.append(f"p^{_int_str(m)} q^{_int_str(n)}: lhs {_int_str(a)} rhs {_int_str(b)}")
     record = {"order": args.order, "equal": result.equal,
               "mismatches": [{"p": m, "q": n, "lhs": a, "rhs": b} for m, n, a, b in mism]}
     _emit(args, record, lines)
@@ -261,22 +281,23 @@ def cmd_knz(args):
 def cmd_facts(args):
     facts = monster.MONSTER_FACTS
     order = facts.order
+    digits = len(_int_str(order))
     record = {
         "order": order,
-        "order_digits": len(str(order)),
+        "order_digits": digits,
         "order_factorization": [[p, e] for p, e in facts.order_factorization],
         "conjugacy_classes": facts.conjugacy_class_count,
         "distinct_mckay_thompson_series": facts.distinct_mckay_thompson_series,
         "mckay_thompson_span_dimension": facts.mckay_thompson_span_dimension,
     }
     lines = [
-        f"order {order}",
-        f"order-digits {len(str(order))}",
-        "order-factorization " + " ".join(f"{p}^{e}" if e > 1 else str(p)
+        f"order {_int_str(order)}",
+        f"order-digits {_int_str(digits)}",
+        "order-factorization " + " ".join(f"{_int_str(p)}^{_int_str(e)}" if e > 1 else _int_str(p)
                                           for p, e in facts.order_factorization),
-        f"conjugacy-classes {facts.conjugacy_class_count}",
-        f"distinct-mckay-thompson-series {facts.distinct_mckay_thompson_series}",
-        f"mckay-thompson-span-dimension {facts.mckay_thompson_span_dimension}",
+        f"conjugacy-classes {_int_str(facts.conjugacy_class_count)}",
+        f"distinct-mckay-thompson-series {_int_str(facts.distinct_mckay_thompson_series)}",
+        f"mckay-thompson-span-dimension {_int_str(facts.mckay_thompson_span_dimension)}",
     ]
     _emit(args, record, lines)
     return 0

@@ -1,12 +1,15 @@
 """Classical level-one modular objects as exact q-expansions.
 
-The constant-term-1 Eisenstein series E4 and E6 keep all arithmetic in
-integers and rationals.  The discriminant is Delta = (E4^3 - E6^2)/1728,
-divided exactly, and its independent oracle is the eta product
-q * prod (1 - q^n)^24.  The modular invariant J = E4^3 / Delta is computed
-without a series inverse, as E4^3 * q^-1 * prod (1 - q^n)^-24: both powers
-of Euler's product come from one helper, :func:`_eta_power`, which runs
-J.C.P. Miller's power recurrence on the sparse pentagonal series.
+The constant-term-1 Eisenstein series E4, E6, ... keep all arithmetic in
+integers and rationals.  The discriminant is Jacobi's product
+Delta = q * prod (1 - q^n)^24 and takes no series product: both powers of
+Euler's product come from one helper, :func:`_eta_power`, which runs
+J.C.P. Miller's power recurrence on the sparse pentagonal series.  The
+modular invariant J = E4^3 / Delta takes one series product: M_12 is
+2-dimensional, so J = E12 / Delta + 432000/691, that is
+691 q J = 691 P + 65520 S P + 432000 q with P = prod (1 - q^n)^-24 and
+S = sum sigma_11(n) q^n.  The slower routes, Delta = (E4^3 - E6^2)/1728 and
+J = E4^3 * q^-1 * P, are the oracles in the tests.
 
 Two budgets fail with :class:`BudgetExceeded` before anything is allocated:
 ``SERIES_ORDER_LIMIT`` bounds the coefficients that J, Delta or an
@@ -21,7 +24,7 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from ._errors import MoonshineError
-from .qseries import LaurentSeries
+from .qseries import LaurentSeries, _product
 
 
 class DomainError(MoonshineError, ValueError):
@@ -122,23 +125,16 @@ def eisenstein_normalized(weight: int, order: int) -> ModularFormExpansion:
 
 
 def discriminant(order: int) -> ModularFormExpansion:
-    """The cusp form Delta = (E4^3 - E6^2)/1728 = q - 24q^2 + ..., to ``order``.
+    """The cusp form Delta = q * prod_{n>=1} (1 - q^n)^24 = q - 24q^2 + ..., to
+    ``order``.
 
-    The division by 1728 is exact; a remainder raises ``ArithmeticError``.
+    Jacobi's product needs no series product: its 24th power comes from
+    Miller's recurrence (:func:`_eta_power`).
     """
     if order < 2:
         raise DomainError("order must be >= 2")
     _check_window(order, order)
-    e4 = eisenstein_normalized(4, order).series
-    e6 = eisenstein_normalized(6, order).series
-    diff = e4**3 - e6**2
-    coeffs = []
-    for c in diff.coeffs:
-        d, rem = divmod(c, 1728)
-        if rem:
-            raise ArithmeticError(f"E4^3 - E6^2 has coefficient {c}, not divisible by 1728")
-        coeffs.append(d)
-    return ModularFormExpansion("Delta", 12, LaurentSeries(coeffs, diff.valuation, diff.trunc))
+    return ModularFormExpansion("Delta", 12, LaurentSeries(_eta_power(24, order - 1), 1))
 
 
 def _euler_terms(order: int) -> list[tuple[int, int]]:
@@ -181,35 +177,34 @@ def _eta_power(exponent: int, width: int) -> list[int]:
     return p
 
 
-def eta_product_delta(order: int) -> LaurentSeries:
-    """Independent route to Delta: q * prod_{n>=1} (1 - q^n)^24, to ``order``.
-
-    The 24th power of Euler's sparse pentagonal series comes from Miller's
-    recurrence (:func:`_eta_power`), so this route shares no multiplication
-    code with :func:`discriminant`.
-    """
-    if order < 2:
-        raise DomainError("order must be >= 2")
-    return LaurentSeries(_eta_power(24, order - 1), 1)
-
-
 def j_expansion(order: int) -> ModularFormExpansion:
     """The modular invariant J = E4^3 / Delta = q^-1 + 744 + 196884q + ...
 
     The returned series has valuation -1 and is determined through exponent
-    ``order - 1`` (truncation ``order``).  No series is inverted: J is
-    E4^3 * q^-1 * prod (1 - q^n)^-24, the second factor from Miller's
-    recurrence (:func:`_eta_power`), so one product of two windows of
-    ``order + 1`` coefficients gives J.  Delta itself stays on the Eisenstein
-    route (:func:`discriminant`), with the eta product as its oracle.
+    ``order - 1`` (truncation ``order``).  M_12 is spanned by E4^3 and E6^2, so
+    691 E12 = 441 E4^3 + 250 E6^2, and with E4^3 - E6^2 = 1728 Delta this gives
+    J = E12 / Delta + 432000/691.  With P = prod (1 - q^n)^-24 from Miller's
+    recurrence (:func:`_eta_power`) and S = sum sigma_11(n) q^n,
+
+        691 q J = 691 P + 65520 S P + 432000 q,
+
+    so J costs one product of two windows of ``order + 1`` coefficients.  The
+    division by 691 is exact; a remainder raises ``ArithmeticError``.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
     width = order + 1
     _check_window(order, width)
-    e4_cubed = eisenstein_normalized(4, width).series ** 3
-    eta_inverse = LaurentSeries(_eta_power(-24, width))
-    return ModularFormExpansion("J", 0, (e4_cubed * eta_inverse).shift(-1))
+    eta = _eta_power(-24, width)
+    # The zero slot of S stays in, so the kernel multiplies at full width.
+    sp = _product(_sigma_sieve(11, width), eta, width)
+    coeffs = []
+    for n, (p, s) in enumerate(zip(eta, sp)):
+        d, rem = divmod(65520 * s + (432000 if n == 1 else 0), 691)
+        if rem:
+            raise ArithmeticError(f"691 J leaves remainder {rem} mod 691 at q^{n - 1}")
+        coeffs.append(p + d)
+    return ModularFormExpansion("J", 0, LaurentSeries(coeffs, -1))
 
 
 def j_normalized(order: int) -> ModularFormExpansion:

@@ -108,7 +108,7 @@ class CoeffTable:
 
     @classmethod
     def from_expansion(cls, order: int) -> "CoeffTable":
-        """Coefficients computed live from the Eisenstein-series pipeline."""
+        """Coefficients computed live by :func:`j_normalized`."""
         series = j_normalized(order).series
         return cls({n: series.coefficient(n) for n in range(-1, order)}, "computed")
 

@@ -157,7 +157,8 @@ def evaluate_word(word) -> PSLElement:
     return PSLElement(Mat2Z(a, b, c, d))
 
 
-def word_to_str(word) -> str:
+def word_to_str(word, num=str) -> str:
+    """The word as text, e.g. ``T^-2 S T``; ``num`` turns each exponent into text."""
     if not word:
         return "1"
     parts = []
@@ -165,7 +166,7 @@ def word_to_str(word) -> str:
         if gen == "S" or exp == 1:
             parts.append(gen)
         else:
-            parts.append(f"{gen}^{exp}")
+            parts.append(f"{gen}^{num(exp)}")
     return " ".join(parts)
 
 

@@ -16,7 +16,7 @@ from moonshine.groups import (
     dihedral_group,
     symmetric_group,
 )
-from moonshine.modular import discriminant, eta_product_delta, j_expansion
+from moonshine.modular import discriminant, eisenstein_normalized, j_expansion
 from moonshine.monster import (
     CheckStatus,
     CoeffTable,
@@ -70,12 +70,17 @@ def test_criterion_02_performance_envelope():
 
 
 def test_criterion_03_discriminant_oracle():
+    # the eta product in src/ against the Eisenstein route (E4^3 - E6^2)/1728
     order = 500
-    eis_route = discriminant(order).series
-    eta_route = eta_product_delta(order)
-    assert eis_route == eta_route
-    assert eis_route.coefficient(1) == 1
-    _report(3, "discriminant equals eta product through order 500")
+    eta_route = discriminant(order).series
+    e4 = eisenstein_normalized(4, order).series
+    e6 = eisenstein_normalized(6, order).series
+    diff = e4**3 - e6**2
+    assert all(c % 1728 == 0 for c in diff.coeffs)
+    eis_route = LaurentSeries([c // 1728 for c in diff.coeffs], diff.valuation, diff.trunc)
+    assert eta_route == eis_route
+    assert eta_route.coefficient(1) == 1
+    _report(3, "discriminant equals (E4^3 - E6^2)/1728 through order 500")
 
 
 def test_criterion_04_mckay_thompson_identities():

@@ -139,6 +139,42 @@ def test_integers_at_the_digit_limit_are_accepted(capsys):
     assert code == 0 and out == f"word T^{entry}\n"
 
 
+def _one_error_line(capsys, argv, needle):
+    limit = sys.get_int_max_str_digits()
+    start = time.monotonic()
+    assert cli.main(argv) == 2
+    assert time.monotonic() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200
+    assert needle in captured.err and f"{limit}" in captured.err
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("tau", ["1e5000,1", "1e-5000,1", "0,1E+5_000"])
+def test_decimal_exponents_past_the_digit_limit_exit_2(capsys, tau):
+    # refused while parsing, before Fraction() builds 10^5000
+    _one_error_line(capsys, ["reduce", "--tau", tau], "decimal exponent of 5000")
+
+
+@pytest.mark.parametrize("tau, json_flag", [
+    (f"1/{10 ** 4298 + 1},1/{10 ** 4297 + 3}", False),
+    (f"1/{10 ** 4298 + 1},1/{10 ** 4297 + 3}", True),
+    ("99e4299,1", False),
+], ids=["tau", "tau-json", "word-exponent"])
+def test_results_past_the_digit_limit_exit_2(capsys, tau, json_flag):
+    # admitted inputs whose reduced point or word has more digits than the limit
+    argv = ["reduce", "--tau", tau] + (["--json"] if json_flag else [])
+    _one_error_line(capsys, argv, "a result has more than")
+
+
+def test_results_at_the_digit_limit_are_printed(capsys):
+    entry = "1" + "0" * (sys.get_int_max_str_digits() - 1)
+    exponent = sys.get_int_max_str_digits() - 1
+    code, out = run_cli(capsys, "reduce", "--tau", f"1e{exponent},1")
+    assert code == 0 and out == f"tau 0/1 1/1\nmatrix 1 -{entry} 0 1\nword T^-{entry}\n"
+
+
 def test_group_factors(capsys):
     code, out = run_cli(capsys, "group", "--name", "C12", "--action", "factors")
     assert code == 0

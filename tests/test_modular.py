@@ -1,5 +1,8 @@
-"""Eisenstein series, the discriminant (two independent routes), and the
-modular invariant; all values exact."""
+"""Eisenstein series, the discriminant and the modular invariant, each
+against independent oracle routes; all values exact.
+
+Oracles: Delta = (E4^3 - E6^2)/1728 from Eisenstein series, and J as
+E4^3 * q^-1 * prod (1 - q^n)^-24 and as E4^3 * inverse(Delta / q)."""
 
 from fractions import Fraction
 
@@ -12,7 +15,6 @@ from moonshine.modular import (
     bernoulli,
     discriminant,
     eisenstein_normalized,
-    eta_product_delta,
     j_expansion,
     j_normalized,
     sigma,
@@ -104,16 +106,41 @@ def test_discriminant_head():
     assert d.coefficient(3) == 252
 
 
+def _delta_eisenstein(order):
+    """Oracle: Delta = (E4^3 - E6^2)/1728, with an exact-division check."""
+    e4 = modular.eisenstein_normalized(4, order).series
+    e6 = modular.eisenstein_normalized(6, order).series
+    diff = e4**3 - e6**2
+    coeffs = []
+    for c in diff.coeffs:
+        d, rem = divmod(c, 1728)
+        if rem:
+            raise ArithmeticError(f"E4^3 - E6^2 has coefficient {c}, not divisible by 1728")
+        coeffs.append(d)
+    return LaurentSeries(coeffs, diff.valuation, diff.trunc)
+
+
+def _j_e4_cubed(order):
+    """Oracle: J = E4^3 * q^-1 * prod (1 - q^n)^-24, to ``order``."""
+    width = order + 1
+    e4_cubed = eisenstein_normalized(4, width).series ** 3
+    return (e4_cubed * LaurentSeries(modular._eta_power(-24, width))).shift(-1)
+
+
 def test_eta_product_head():
-    e = eta_product_delta(4)
-    assert e.coefficient(1) == 1
-    assert e.coefficient(2) == -24
-    assert e.coefficient(3) == 252
+    assert modular._eta_power(24, 3) == [1, -24, 252]
+    e = _delta_eisenstein(4)
+    assert [e.coefficient(n) for n in (1, 2, 3)] == [1, -24, 252]
 
 
 def test_discriminant_equals_eta_product():
+    # q times the dense Euler product to the 24th power: no Miller recurrence
     order = 120
-    assert discriminant(order).series == eta_product_delta(order)
+    euler = [1] + [0] * (order - 2)
+    for n in range(1, order - 1):
+        for j in range(order - 2, n - 1, -1):
+            euler[j] -= euler[j - n]
+    assert discriminant(order).series == (LaurentSeries(euler) ** 24).shift(1)
 
 
 def test_euler_terms_match_dense_product():
@@ -132,27 +159,35 @@ def test_euler_terms_match_dense_product():
 
 def test_eta_product_small_orders():
     for order in range(2, 40):
-        assert eta_product_delta(order) == discriminant(order).series
+        assert discriminant(order).series == _delta_eisenstein(order)
 
 
-def test_j_expansion_builds_e4_once(monkeypatch):
+def test_j_expansion_one_product_no_eisenstein(monkeypatch):
+    real = modular._product
     calls = []
-    real = modular.eisenstein_normalized
 
-    def counting(weight, order):
-        calls.append(weight)
-        return real(weight, order)
+    def counting(a, b, width):
+        calls.append(width)
+        return real(a, b, width)
 
-    monkeypatch.setattr(modular, "eisenstein_normalized", counting)
-    j_expansion(30)
-    assert sorted(calls) == [4]  # E6 is not needed: 1/Delta comes from the eta product
+    def refuse(*args):
+        raise AssertionError("J builds a series it does not need")
+
+    monkeypatch.setattr(modular, "_product", counting)
+    monkeypatch.setattr(modular, "eisenstein_normalized", refuse)
+    monkeypatch.setattr(LaurentSeries, "__pow__", refuse)
+    monkeypatch.setattr(LaurentSeries, "__mul__", refuse)
+    for order in (0, 30, 300):
+        calls.clear()
+        j_expansion(order)
+        assert calls == [order + 1]  # S * P once, at full width
 
 
 def _j_by_inverse(order):
-    """Oracle: the former route, E4^3 * inverse(Delta / q) with Delta from Eisenstein."""
+    """Oracle: E4^3 * inverse(Delta / q), with Delta from Eisenstein series."""
     base = order + 2
     e4_cubed = eisenstein_normalized(4, base).series ** 3
-    unit = discriminant(base).series.shift(-1)
+    unit = _delta_eisenstein(base).shift(-1)
     return (e4_cubed * unit.inverse()).shift(-1)
 
 
@@ -163,6 +198,30 @@ def test_j_expansion_matches_inverse_oracle():
         assert j == oracle, order
         assert (j.valuation, j.trunc) == (-1, order)
         assert all(type(c) is int for c in j.coeffs), order
+
+
+def test_j_expansion_matches_e4_cubed_oracle():
+    for order in list(range(61)) + [300, 2001]:
+        j = j_expansion(order).series
+        assert j == _j_e4_cubed(order), order
+        assert all(type(c) is int for c in j.coeffs), order
+
+
+def test_j_691_division_is_exact(monkeypatch):
+    # a sieve bent at sigma_11(5) makes 691 q J indivisible at q^5, J's q^4
+    real = modular._sigma_sieve
+
+    def bent(k, order):
+        sums = real(k, order)
+        if order > 5:
+            sums[5] += 1
+        return sums
+
+    oracle = _j_e4_cubed(4)
+    monkeypatch.setattr(modular, "_sigma_sieve", bent)
+    assert j_expansion(4).series == oracle
+    with pytest.raises(ArithmeticError, match="691 .* at q\\^4$"):
+        j_expansion(5)
 
 
 def test_j_times_discriminant_is_e4_cubed():
@@ -187,7 +246,7 @@ def test_eta_power_exponents():
     # and the -24th and 24th powers are inverse to each other
     assert modular._eta_power(-1, 80) == _partition_numbers(80)
     assert modular._eta_power(1, 1) == [1]
-    assert modular._eta_power(24, 99) == list(discriminant(100).series.coeffs)
+    assert modular._eta_power(24, 99) == list(_delta_eisenstein(100).coeffs)
     plus = LaurentSeries(modular._eta_power(24, 200))
     minus = LaurentSeries(modular._eta_power(-24, 200))
     assert plus * minus == LaurentSeries.one(200)
@@ -201,6 +260,7 @@ def test_eta_power_remainder_check():
 
 
 def test_discriminant_division_is_exact(monkeypatch):
+    # the Eisenstein oracle refuses a remainder mod 1728
     real = modular.eisenstein_normalized
 
     def bent(weight, order):
@@ -213,7 +273,7 @@ def test_discriminant_division_is_exact(monkeypatch):
 
     monkeypatch.setattr(modular, "eisenstein_normalized", bent)
     with pytest.raises(ArithmeticError, match="1728"):
-        discriminant(10)
+        _delta_eisenstein(10)
 
 
 def test_eisenstein_matches_fraction_scale():
