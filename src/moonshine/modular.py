@@ -36,9 +36,9 @@ class BudgetExceeded(MoonshineError, RuntimeError):
 
 
 # Most coefficients one expansion may compute: J to order 16383, Delta and
-# E_w to order 16384.  At the limit `j --order 16383` took about 25 s and
-# 77 MB, `delta` 1.8 s and `eisenstein --weight 256` 1.2 s (2-core Xeon VM,
-# CPython 3.11.7).
+# E_w to order 16384.  At the limit `j --order 16383` took 21-27 s and 78 MB
+# peak RSS, `delta` 0.7-1.1 s and 20 MB, and `eisenstein --weight 256` 1.2 s
+# and 70 MB (one CLI process each, 2-core Xeon VM, CPython 3.11.7).
 SERIES_ORDER_LIMIT = 2 ** 14
 # bernoulli(256) takes about 0.2 s from an empty cache; B_w costs O(w^2) Fraction sums.
 EISENSTEIN_WEIGHT_LIMIT = 256

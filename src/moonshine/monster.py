@@ -45,8 +45,8 @@ class DataFormatError(MoonshineError, ValueError):
 
 # knz_verify(order) runs Newton's identity over order + 2 rows of order + 2
 # integer coefficients, about order^4 / 8 big-integer multiply-adds, and
-# needs J to (order + 1)^2 + 1 coefficients.  At the limit `knz --order 40`
-# took 0.45-0.54 s, about 0.35 s of it building that J table (2-core Xeon
+# needs J to (order + 1)^2 + 1 coefficients.  At the limit knz_verify(40)
+# took 0.31-0.36 s, 0.17-0.19 s of it building that J table (2-core Xeon
 # VM, CPython 3.11.7).
 KNZ_ORDER_LIMIT = 40
 

@@ -225,7 +225,7 @@ def test_j_691_division_is_exact(monkeypatch):
 
 
 def test_j_times_discriminant_is_e4_cubed():
-    # shares no code with the eta power recurrence that builds J
+    # E4^3 is on neither production route: J comes from E12, Delta from eta
     order = 300
     product = j_expansion(order).series * discriminant(order).series
     e4_cubed = eisenstein_normalized(4, order).series ** 3
