@@ -23,15 +23,29 @@ from . import groups, modular, monster, sl2z
 from ._errors import MoonshineError
 
 
+def _too_long():
+    return MoonshineError(f"a result has more than {sys.get_int_max_str_digits()} digits, "
+                          "the limit of sys.get_int_max_str_digits()")
+
+
 def _int_str(n):
     """Decimal text of the int ``n``; every number the CLI prints goes
-    through here.  A result longer than the interpreter's int/str digit
-    limit is refused with one line instead of str()'s ValueError."""
+    through here or, for a word's exponents, :func:`_word_str`.  A result
+    longer than the interpreter's int/str digit limit is refused with one
+    line instead of str()'s ValueError."""
     try:
         return str(n)
     except ValueError:
-        raise MoonshineError(f"a result has more than {sys.get_int_max_str_digits()} digits, "
-                             "the limit of sys.get_int_max_str_digits()") from None
+        raise _too_long() from None
+
+
+def _word_str(word):
+    """A generator word as text, refused like :func:`_int_str` if an
+    exponent is past the digit limit."""
+    try:
+        return sl2z.word_to_str(word)
+    except ValueError:
+        raise _too_long() from None
 
 
 def _json_safe(value):
@@ -65,22 +79,27 @@ def _frac_str(v):
     return f"{_int_str(v.numerator)}/{_int_str(v.denominator)}"
 
 
+# CPython's default int/str digit limit.  It bounds decimal exponents when
+# the interpreter's limit is switched off (0) or missing, since Fraction()
+# would build 10^e for any e.
+_DEFAULT_DIGIT_LIMIT = 4300
+
+
 def _check_digits(text):
     """Refuse an integer longer than the interpreter's int/str digit limit,
     which int() and Fraction() would report as malformed, echoing it whole,
-    and a decimal exponent past it, for which Fraction() would build 10^e."""
+    and a decimal exponent past it (or past ``_DEFAULT_DIGIT_LIMIT`` if the
+    limit is off), for which Fraction() would build 10^e."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit:
-        return
     text = text.replace("_", "")
     longest = max(map(len, re.findall(r"\d+", text)), default=0)
-    if longest > limit:
+    if limit and longest > limit:
         raise MoonshineError(f"an integer argument has {longest} digits, more than the "
                              f"limit of {limit} (sys.get_int_max_str_digits())")
+    bound = limit or _DEFAULT_DIGIT_LIMIT
     exponent = max((abs(int(e)) for e in re.findall(r"[eE]([-+]?\d+)", text)), default=0)
-    if exponent > limit:
-        raise MoonshineError(f"a decimal exponent of {exponent} is past the limit of "
-                             f"{limit} (sys.get_int_max_str_digits())")
+    if exponent > bound:
+        raise MoonshineError(f"a decimal exponent of {exponent} is past the limit of {bound}")
 
 
 def _parse_fraction(text):
@@ -173,16 +192,17 @@ def cmd_delta(args):
 
 def cmd_reduce(args):
     tau_star, m, word = sl2z.reduce_to_fundamental(args.tau)
+    text = _word_str(word)
     record = {
         "tau": [tau_star.x, tau_star.y],
         "matrix": list(m.rep.entries()),
-        "word": sl2z.word_to_str(word, _int_str),
+        "word": text,
         "in_domain": sl2z.in_fundamental_domain(tau_star),
     }
     lines = [
         f"tau {_frac_str(tau_star.x)} {_frac_str(tau_star.y)}",
         "matrix " + " ".join(map(_int_str, m.rep.entries())),
-        f"word {sl2z.word_to_str(word, _int_str)}",
+        f"word {text}",
     ]
     _emit(args, record, lines)
     return 0
@@ -214,8 +234,8 @@ def cmd_lattice(args):
 def cmd_word(args):
     word = sl2z.word_decompose(args.matrix)
     check = sl2z.evaluate_word(word) == args.matrix
-    _emit(args, {"word": sl2z.word_to_str(word, _int_str), "verified": check},
-          [f"word {sl2z.word_to_str(word, _int_str)}"])
+    text = _word_str(word)
+    _emit(args, {"word": text, "verified": check}, [f"word {text}"])
     return 0 if check else 1
 
 

@@ -7,8 +7,8 @@ Euler's product come from one helper, :func:`_eta_power`, which runs
 J.C.P. Miller's power recurrence on the sparse pentagonal series.  The
 modular invariant J = E4^3 / Delta takes one series product: M_12 is
 2-dimensional, so J = E12 / Delta + 432000/691, that is
-691 q J = 691 P + 65520 S P + 432000 q with P = prod (1 - q^n)^-24 and
-S = sum sigma_11(n) q^n.  The slower routes, Delta = (E4^3 - E6^2)/1728 and
+691 q J = (691 E12) P + 432000 q with P = prod (1 - q^n)^-24 and
+691 E12 = 691 + 65520 sum sigma_11(n) q^n.  The slower routes, Delta = (E4^3 - E6^2)/1728 and
 J = E4^3 * q^-1 * P, are the oracles in the tests.
 
 Two budgets fail with :class:`BudgetExceeded` before anything is allocated:
@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb, isqrt
 
 from ._errors import MoonshineError
-from .qseries import LaurentSeries, _product
+from .qseries import LaurentSeries
 
 
 class DomainError(MoonshineError, ValueError):
@@ -188,22 +188,23 @@ def j_expansion(order: int) -> ModularFormExpansion:
 
         691 q J = 691 P + 65520 S P + 432000 q,
 
-    so J costs one product of two windows of ``order + 1`` coefficients.  The
+    so J costs one series product, (691 E12) * P = (691 + 65520 S) * P, of two
+    windows of ``order + 1`` coefficients.  The constant 691 keeps the window
+    of 691 E12 starting at q^0, so the product runs at full width.  The
     division by 691 is exact; a remainder raises ``ArithmeticError``.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
     width = order + 1
     _check_window(order, width)
-    eta = _eta_power(-24, width)
-    # The zero slot of S stays in, so the kernel multiplies at full width.
-    sp = _product(_sigma_sieve(11, width), eta, width)
+    eta = LaurentSeries._make(_eta_power(-24, width), 0, width)
+    e12 = LaurentSeries._make(_sigma_sieve(11, width), 0, width) * 65520 + 691
     coeffs = []
-    for n, (p, s) in enumerate(zip(eta, sp)):
-        d, rem = divmod(65520 * s + (432000 if n == 1 else 0), 691)
+    for n, c in enumerate((e12 * eta).coeffs):
+        d, rem = divmod(c + (432000 if n == 1 else 0), 691)
         if rem:
             raise ArithmeticError(f"691 J leaves remainder {rem} mod 691 at q^{n - 1}")
-        coeffs.append(p + d)
+        coeffs.append(d)
     return ModularFormExpansion("J", 0, LaurentSeries(coeffs, -1))
 
 

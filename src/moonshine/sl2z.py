@@ -157,8 +157,7 @@ def evaluate_word(word) -> PSLElement:
     return PSLElement(Mat2Z(a, b, c, d))
 
 
-def word_to_str(word, num=str) -> str:
-    """The word as text, e.g. ``T^-2 S T``; ``num`` turns each exponent into text."""
+def word_to_str(word) -> str:
     if not word:
         return "1"
     parts = []
@@ -166,7 +165,7 @@ def word_to_str(word, num=str) -> str:
         if gen == "S" or exp == 1:
             parts.append(gen)
         else:
-            parts.append(f"{gen}^{num(exp)}")
+            parts.append(f"{gen}^{exp}")
     return " ".join(parts)
 
 

@@ -157,6 +157,23 @@ def test_decimal_exponents_past_the_digit_limit_exit_2(capsys, tau):
     _one_error_line(capsys, ["reduce", "--tau", tau], "decimal exponent of 5000")
 
 
+def test_decimal_exponents_bounded_with_the_digit_limit_off(capsys):
+    # with the limit switched off, CPython's default 4300 bounds the exponent
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        start = time.monotonic()
+        assert cli.main(["reduce", "--tau", "1e999999999,1"]) == 2
+        assert time.monotonic() - start < 2
+        captured = capsys.readouterr()
+        code, out = run_cli(capsys, "reduce", "--tau", "1e4300,1")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert captured.out == ""
+    assert captured.err == "error: a decimal exponent of 999999999 is past the limit of 4300\n"
+    assert code == 0 and out.startswith("tau 0/1 1/1\n")
+
+
 @pytest.mark.parametrize("tau, json_flag", [
     (f"1/{10 ** 4298 + 1},1/{10 ** 4297 + 3}", False),
     (f"1/{10 ** 4298 + 1},1/{10 ** 4297 + 3}", True),
