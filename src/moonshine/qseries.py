@@ -211,16 +211,18 @@ class LaurentSeries:
 
     # -- ring operations ---------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, LaurentSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return LaurentSeries.constant(other, max(self.trunc, 1))
-        return None
-
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            # A scalar changes only the q^0 slot, which a window ending at or
+            # below q^0 does not hold.
+            other = _norm(other)
+            if self.trunc <= 0:
+                return self
+            val = min(self.valuation, 0)
+            out = [0] * (self.valuation - val) + list(self.coeffs)
+            out[-val] += other
+            return LaurentSeries(out, val, self.trunc)
+        if not isinstance(other, LaurentSeries):
             return NotImplemented
         trunc = min(self.trunc, other.trunc)
         val = min(self.valuation, other.valuation, trunc)
@@ -237,8 +239,9 @@ class LaurentSeries:
         return LaurentSeries._make([-c for c in self.coeffs], self.valuation, self.trunc)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            return self + -_norm(other)
+        if not isinstance(other, LaurentSeries):
             return NotImplemented
         return self + (-other)
 

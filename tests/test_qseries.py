@@ -344,6 +344,26 @@ def test_scalar_arithmetic():
     assert (t + 744) == t
 
 
+def test_scalar_add_matches_constant_series():
+    # the scalar route edits the q^0 slot; the series route adds 1 + 0q + ...
+    rng = random.Random(12)
+    for _ in range(500):
+        s = _random_series(rng, allow_fraction=True)
+        if rng.random() < 0.2:
+            s = LaurentSeries.zero(rng.randint(-3, 5))
+        c = rng.choice([0, 1, -7, Fraction(1, 2), Fraction(-2, 3), Fraction(6, 3)])
+        const = LaurentSeries.constant(c, max(s.trunc, 1))
+        for got, want in ((s + c, s + const), (c + s, s + const),
+                          (s - c, s + (-const)), (c - s, const + (-s))):
+            assert got == want
+            assert [type(x) for x in got.coeffs] == [type(x) for x in want.coeffs]
+    for bad in (True, 1.5):
+        with pytest.raises(TypeError):
+            series([1, 2]) + bad
+        with pytest.raises(TypeError):
+            series([1, 2]) - bad
+
+
 def _random_series(rng, allow_fraction=False):
     width = rng.randint(1, 7)
     val = rng.randint(-3, 3)
