@@ -134,7 +134,8 @@ def discriminant(order: int) -> ModularFormExpansion:
     if order < 2:
         raise DomainError("order must be >= 2")
     _check_window(order, order)
-    return ModularFormExpansion("Delta", 12, LaurentSeries(_eta_power(24, order - 1), 1))
+    delta = LaurentSeries._make(_eta_power(24, order - 1), 1, order)
+    return ModularFormExpansion("Delta", 12, delta)
 
 
 def _euler_terms(order: int) -> list[tuple[int, int]]:
@@ -162,14 +163,15 @@ def _eta_power(exponent: int, width: int) -> list[int]:
     pentagonal terms f_k of F = prod (1 - q^n).  Each division by n is exact
     for an integer exponent; a remainder raises ``ArithmeticError``.
     """
-    f = _euler_terms(width)
+    # each term carries (a+1) k f_k, which does not depend on n
+    terms = [(k, (exponent + 1) * k * fk, fk) for k, fk in _euler_terms(width)]
     p = [1]
     for n in range(1, width):
         acc = 0
-        for k, fk in f:
+        for k, c, fk in terms:
             if k > n:
                 break
-            acc += ((exponent + 1) * k - n) * fk * p[n - k]
+            acc += (c - n * fk) * p[n - k]
         pn, rem = divmod(acc, n)
         if rem:
             raise ArithmeticError(f"power recurrence left remainder {rem} at n = {n}")
@@ -205,7 +207,7 @@ def j_expansion(order: int) -> ModularFormExpansion:
         if rem:
             raise ArithmeticError(f"691 J leaves remainder {rem} mod 691 at q^{n - 1}")
         coeffs.append(d)
-    return ModularFormExpansion("J", 0, LaurentSeries(coeffs, -1))
+    return ModularFormExpansion("J", 0, LaurentSeries._make(coeffs, -1, order))
 
 
 def j_normalized(order: int) -> ModularFormExpansion:
