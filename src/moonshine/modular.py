@@ -8,8 +8,9 @@ J.C.P. Miller's power recurrence on the sparse pentagonal series.  The
 modular invariant J = E4^3 / Delta takes one series product: M_12 is
 2-dimensional, so J = E12 / Delta + 432000/691, that is
 691 q J = (691 E12) P + 432000 q with P = prod (1 - q^n)^-24 and
-691 E12 = 691 + 65520 sum sigma_11(n) q^n.  The slower routes, Delta = (E4^3 - E6^2)/1728 and
-J = E4^3 * q^-1 * P, are the oracles in the tests.
+691 E12 = 691 + 65520 sum sigma_11(n) q^n.  The slower routes,
+Delta = (E4^3 - E6^2)/1728 and J = E4^3 * q^-1 * P, are the oracles in the
+tests.
 
 Two budgets fail with :class:`BudgetExceeded` before anything is allocated:
 ``SERIES_ORDER_LIMIT`` bounds the coefficients that J, Delta or an
@@ -36,8 +37,8 @@ class BudgetExceeded(MoonshineError, RuntimeError):
 
 
 # Most coefficients one expansion may compute: J to order 16383, Delta and
-# E_w to order 16384.  At the limit `j --order 16383` took 21-27 s and 78 MB
-# peak RSS, `delta` 0.7-1.1 s and 20 MB, and `eisenstein --weight 256` 1.2 s
+# E_w to order 16384.  At the limit `j --order 16383` took 29-32 s and 78 MB
+# peak RSS, `delta` 1.1-1.3 s and 20 MB, and `eisenstein --weight 256` 1.2 s
 # and 70 MB (one CLI process each, 2-core Xeon VM, CPython 3.11.7).
 SERIES_ORDER_LIMIT = 2 ** 14
 # bernoulli(256) takes about 0.2 s from an empty cache; B_w costs O(w^2) Fraction sums.
