@@ -8,10 +8,16 @@ generators, whose maps come from the group's closure: it takes no ``Perm``
 products, and every row other than the identity's is its BFS parent's row
 mapped through one generator's map.  Subgroups grow coset by coset
 (Dimino's algorithm), and two normal subgroups join as their product set
-AB.  Each step sub < s of a chain is checked once per table, for normality,
-abelian and simple factor (:meth:`CayleyTable.factor`).  ``PermGroup``
-builds one table per group on first use and converts to and from
-frozensets of ``Perm`` at its public methods.
+AB.  The lattice takes one normal closure per cyclic subgroup, not per
+conjugacy class: x^j generates <x> when j is prime to the order of x, so
+ncl(x^j) = ncl(x), and a class that meets such an x^j of an earlier closed
+class is skipped (D_n closes d(n) + 2 classes, not one per class).  A
+cyclic group has at most one element of order 2, so the search for a
+generator of a cyclic group stops at a second one.  Each step sub < s of
+a chain is checked once per table, for normality, abelian and simple
+factor (:meth:`CayleyTable.factor`).  ``PermGroup`` builds one table per
+group on first use and converts to and from frozensets of ``Perm`` at its
+public methods.
 """
 
 from __future__ import annotations
@@ -207,23 +213,44 @@ class CayleyTable:
 
         Every normal subgroup is a join of normal closures of single
         conjugacy classes, so the lattice is the join-closure of those
-        generators.  Cyclic groups take a direct path through their divisor
-        lattice.
+        generators.  A class is closed only if it meets no generator of a
+        cyclic group <x> whose class was closed before: each such x^j, with
+        j prime to the order of x, generates <x>, so ncl(x^j) = ncl(x).
+        Cyclic groups take a direct path through their divisor lattice; the
+        search for an element of order |s| stops at a second element of
+        order 2, which a cyclic group does not have.
         """
         n = len(s)
         if n == 1:
             return [s]
-        gen = next((x for x in s if self.element_order(x) == n), None)
+        gen, involutions = None, 0
+        for x in s:
+            order = self.element_order(x)
+            if order == n:
+                gen = x
+                break
+            if order == 2:
+                involutions += 1
+                if involutions == 2:
+                    break
         if gen is not None:
             powers = [0]
             for _ in range(n - 1):
                 powers.append(self.mul[powers[-1]][gen])
             return [frozenset(powers[:: n // d]) for d in _divisors(n)]
-        closures = set()
+        closures, closed = set(), set()
         for cls in self.classes(s, self.generators(s)):
+            if not closed.isdisjoint(cls):
+                continue
             have = {0}
             self.grow(have, (), cls)
             closures.add(frozenset(have))
+            x = next(iter(cls))
+            row, powers = self.mul[x], [x]
+            while powers[-1]:
+                powers.append(row[powers[-1]])
+            order = len(powers)  # powers[j - 1] is x^j, and x^order = 1
+            closed.update(p for j, p in enumerate(powers, 1) if math.gcd(j, order) == 1)
         normals = {frozenset({0})} | closures
         worklist = list(closures)
         while worklist:

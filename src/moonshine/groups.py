@@ -3,8 +3,9 @@ quotients, composition series and Jordan-Hoelder factor multisets.
 
 Elements are enumerated once, by breadth-first closure under the
 generators, which also records each generator's right and left
-multiplication maps on integer indices; apart from ``is_abelian``, those
-x * g are the only ``Perm`` products.  Conjugacy classes are orbits read
+multiplication maps on integer indices.  The closure composes image tuples
+through one getter per generator, and only ``is_abelian`` calls
+``Perm.__mul__``.  Conjugacy classes are orbits read
 off the maps, so groups too large for a table (S8) still answer them.
 Normality, quotients, normal subgroups, simplicity, composition series and
 their factors run over a Cayley table that each group builds on first use
@@ -29,7 +30,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter, mul
 
-from ._errors import MoonshineError
+from ._errors import DomainError, MoonshineError
 
 
 class CapExceeded(MoonshineError, RuntimeError):
@@ -74,7 +75,7 @@ class Perm:
     def __init__(self, images):
         images = tuple(images)
         if sorted(images) != list(range(len(images))):
-            raise ValueError("not a permutation of 0..n-1")
+            raise DomainError("not a permutation of 0..n-1")
         self.images = images
         self._hash = hash(images)
 
@@ -211,8 +212,9 @@ def _enumerate(gens, degree):
     ``(elems, index, right, left)``: the elements in sorted ``Perm`` order,
     the index of each, and per non-identity generator s (keyed by index) the
     maps ``right[s][x]`` and ``left[s][x]``, indexing x * s and s * x.  The
-    search's x * g are the group core's only ``Perm`` products; the left
-    maps follow the search tree, as x = p * t gives s * x = (s * p) * t.
+    search composes x * g as images, through one getter per generator, and
+    calls no ``Perm.__mul__``; the left maps follow the search tree, as
+    x = p * t gives s * x = (s * p) * t.
     Raises CapExceeded once the group passes its :func:`_budget`.
     """
     bound, message = _budget(degree)
@@ -221,9 +223,11 @@ def _enumerate(gens, degree):
     found, seen = [ident], {ident: 0}  # in search order: found[j + 1] is gens[j]
     right = [[] for _ in gens]
     tree = []  # found[i] = found[p] * gens[j] for (p, j) = tree[i - 1]
+    # (x * g)(i) = x(g(i)): one getter per generator composes every product.
+    gets = [itemgetter(*g.images) for g in gens]
     for i, x in enumerate(found):
-        for j, g in enumerate(gens):
-            y = x * g
+        for j, get in enumerate(gets):
+            y = Perm._raw(get(x.images))
             k = seen.get(y)
             if k is None:
                 if len(found) >= bound:
@@ -284,7 +288,7 @@ class PermGroup:
         generators = tuple(generators)
         for g in generators:
             if g.degree != degree:
-                raise ValueError("generator degree mismatch")
+                raise DomainError("generator degree mismatch")
         self.degree = degree
         self.generators = generators
         self.name = name or "G"
@@ -369,7 +373,7 @@ class PermGroup:
         """Whether the group has exactly the two trivial normal subgroups."""
         t = self._table()
         if len(t.all) == 1:
-            raise ValueError("the trivial group is conventionally not simple")
+            raise DomainError("the trivial group is conventionally not simple")
         return len(t.lattice(t.all)) == 2
 
     def composition_series(self):
@@ -481,7 +485,7 @@ def class_indicator(group: PermGroup, index: int) -> ClassFunction:
 
 def cyclic_group(n: int) -> PermGroup:
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DomainError("n must be >= 1")
     _admit(n, (n,))
     if n == 1:
         return PermGroup(1, [], name="C1")
@@ -492,7 +496,7 @@ def cyclic_group(n: int) -> PermGroup:
 def dihedral_group(n: int) -> PermGroup:
     """Symmetries of a regular n-gon acting on its vertices (order 2n)."""
     if n < 3:
-        raise ValueError("the vertex action needs n >= 3")
+        raise DomainError("the vertex action needs n >= 3")
     _admit(n, (2 * n,))
     rot = Perm((i + 1) % n for i in range(n))
     flip = Perm((n - i) % n for i in range(n))
@@ -501,7 +505,7 @@ def dihedral_group(n: int) -> PermGroup:
 
 def symmetric_group(n: int) -> PermGroup:
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DomainError("n must be >= 1")
     _admit(n, accumulate(range(1, n + 1), mul))
     gens = [Perm.from_cycles(n, (i, i + 1)) for i in range(n - 1)]
     return PermGroup(n, gens, name=f"S{n}")
@@ -509,7 +513,7 @@ def symmetric_group(n: int) -> PermGroup:
 
 def alternating_group(n: int) -> PermGroup:
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DomainError("n must be >= 1")
     _admit(n, (max(f // 2, 1) for f in accumulate(range(1, n + 1), mul)))
     gens = [Perm.from_cycles(n, (0, 1, i)) for i in range(2, n)]
     return PermGroup(n, gens, name=f"A{n}")

@@ -24,12 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
-from ._errors import MoonshineError
+from ._errors import DomainError, MoonshineError
 from .qseries import LaurentSeries
-
-
-class DomainError(MoonshineError, ValueError):
-    """An argument is outside the operation's domain."""
 
 
 class BudgetExceeded(MoonshineError, RuntimeError):

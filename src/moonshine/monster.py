@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
-from ._errors import MoonshineError
-from .modular import BudgetExceeded, DomainError, j_normalized
+from ._errors import DomainError, MoonshineError
+from .modular import BudgetExceeded, j_normalized
 from .qseries import BiLaurentSeries
 
 
@@ -255,9 +255,9 @@ def decompose_bounded(target: int, dims: IrrepDims, max_mult: int, max_parts: in
     bounds.
     """
     if target < 0:
-        raise ValueError("target must be >= 0")
+        raise DomainError("target must be >= 0")
     if max_mult < 1 or max_parts < 1:
-        raise ValueError("bounds must be >= 1")
+        raise DomainError("bounds must be >= 1")
     if dims.count < max_parts:
         raise InsufficientData(f"need {max_parts} dimensions, have {dims.count}")
     rs = dims.dims[:max_parts]

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._errors import MoonshineError
+from ._errors import DomainError, MoonshineError
 
 
 class DegenerateBasis(MoonshineError, ValueError):
@@ -42,7 +42,7 @@ class Mat2Z:
 
     def __post_init__(self):
         if self.a * self.d - self.b * self.c != 1:
-            raise ValueError("determinant must be 1")
+            raise DomainError("determinant must be 1")
 
     def __mul__(self, other: "Mat2Z") -> "Mat2Z":
         return Mat2Z(
@@ -104,7 +104,7 @@ class UpperHalfPoint:
         object.__setattr__(self, "x", _frac(self.x))
         object.__setattr__(self, "y", _frac(self.y))
         if self.y <= 0:
-            raise ValueError("imaginary part must be positive")
+            raise DomainError("imaginary part must be positive")
 
     def norm_sq(self) -> Fraction:
         return self.x * self.x + self.y * self.y
@@ -150,10 +150,10 @@ def evaluate_word(word) -> PSLElement:
             b, d = a * exp + b, c * exp + d
         elif gen == "S":
             if exp != 1:
-                raise ValueError("S moves carry exponent 1 (S is an involution in PSL)")
+                raise DomainError("S moves carry exponent 1 (S is an involution in PSL)")
             a, b, c, d = b, -a, d, -c
         else:
-            raise ValueError(f"unknown generator {gen!r}")
+            raise DomainError(f"unknown generator {gen!r}")
     return PSLElement(Mat2Z(a, b, c, d))
 
 

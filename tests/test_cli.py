@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 import moonshine
-from moonshine import cli, groups, modular, monster, qseries, sl2z
+from moonshine import _errors, cli, groups, modular, monster, qseries, sl2z
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +79,21 @@ def test_reduce_rejects_lower_half_plane(capsys):
         cli.main(["reduce", "--tau", "0,-1"])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["group", "--name", "C0", "--action", "classes"], "n must be >= 1"),
+    (["group", "--name", "D2", "--action", "classes"], "the vertex action needs n >= 3"),
+    (["group", "--name", "S0", "--action", "series"], "n must be >= 1"),
+    (["group", "--name", "A0", "--action", "factors"], "n must be >= 1"),
+    (["word", "--matrix", "2,0,0,1"], "determinant must be 1"),
+    (["reduce", "--tau", "1,0"], "imaginary part must be positive"),
+])
+def test_domain_errors_at_parse_time_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_equiv(capsys):
@@ -397,14 +412,42 @@ _BASES = {
 def test_one_error_root():
     exported = {name: value for name, value in vars(moonshine).items()
                 if inspect.isclass(value) and issubclass(value, BaseException)}
-    defined = {name: value for module in (qseries, modular, sl2z, groups, monster)
+    defined = {name: value for module in (qseries, modular, sl2z, groups, monster, _errors)
                for name, value in vars(module).items()
                if inspect.isclass(value) and issubclass(value, BaseException)
                and value.__module__ == module.__name__}
+    assert defined.pop("MoonshineError") is moonshine.MoonshineError
     assert set(exported) == set(defined) | {"MoonshineError"}
     assert set(defined) == set(_BASES)
     for name, cls in defined.items():
         assert issubclass(cls, moonshine.MoonshineError) and issubclass(cls, _BASES[name]), name
+    # DomainError lives in the error module and is re-exported, not copied.
+    assert modular.DomainError is _errors.DomainError is moonshine.DomainError
+
+
+@pytest.mark.parametrize("call", [
+    lambda: groups.Perm((0, 0, 1)),
+    lambda: groups.PermGroup(3, [groups.Perm((1, 0))]),
+    lambda: groups.cyclic_group(1).is_simple(),
+    lambda: groups.cyclic_group(0),
+    lambda: groups.dihedral_group(2),
+    lambda: groups.symmetric_group(0),
+    lambda: groups.alternating_group(0),
+    lambda: sl2z.Mat2Z(2, 0, 0, 1),
+    lambda: sl2z.UpperHalfPoint(0, 0),
+    lambda: sl2z.UpperHalfPoint(0, -1),
+    lambda: monster.decompose_bounded(-1, monster.IrrepDims.from_resource(), 1, 1),
+    lambda: monster.decompose_bounded(1, monster.IrrepDims.from_resource(), 0, 1),
+    lambda: monster.decompose_bounded(1, monster.IrrepDims.from_resource(), 1, 0),
+], ids=["perm-images", "degree-mismatch", "trivial-simple", "cyclic-0", "dihedral-2",
+        "symmetric-0", "alternating-0", "det", "y-zero", "y-negative", "target",
+        "max-mult", "max-parts"])
+def test_refused_arguments_raise_domain_error(call):
+    # A bad argument to a library constructor or call is a refused input:
+    # a MoonshineError that is still the ValueError it used to be.
+    with pytest.raises(moonshine.MoonshineError) as info:
+        call()
+    assert isinstance(info.value, ValueError)
 
 
 def test_knz(capsys):

@@ -24,6 +24,7 @@ from moonshine.groups import (
     symmetric_group,
     trivial_character,
 )
+from moonshine.groups import _enumerate
 
 
 
@@ -568,9 +569,10 @@ def test_cayley_table_axioms():
 
 
 def test_one_enumeration_per_group(monkeypatch):
-    # The closure's x * g are the only Perm products: classes, the table,
-    # the lattice and normality all run on its maps.
-    products = 0
+    # Each group enumerates once, and its closure composes image tuples:
+    # elements, classes, the table, the lattice and normality call no
+    # Perm.__mul__ at all.
+    enumerations, products = [], 0
     mul = Perm.__mul__
 
     def counted(p, q):
@@ -579,14 +581,40 @@ def test_one_enumeration_per_group(monkeypatch):
         return mul(p, q)
 
     monkeypatch.setattr(Perm, "__mul__", counted)
+    monkeypatch.setattr("moonshine.groups._enumerate",
+                        lambda gens, degree: enumerations.append(degree) or _enumerate(gens, degree))
     for g in (symmetric_group(5), dihedral_group(100)):
+        enumerations.clear()
         products = 0
         _ = g.elements
         g.conjugacy_classes()
         normals = g.normal_subgroups()
         assert all(g.is_normal(s) for s in normals)
         assert not g.is_normal(frozenset({g.identity, g.generators[-1]}))
-        assert products == g.order * len(g.generators), g.name
+        assert len(enumerations) == 1, g.name
+        assert products == 0, g.name
+
+
+@pytest.mark.parametrize("g, closures", [
+    (dihedral_group(100), 11), (dihedral_group(64), 9), (dihedral_group(12), 8),
+    (symmetric_group(5), 7)], ids=["D100", "D64", "D12", "S5"])
+def test_one_normal_closure_per_cyclic_subgroup(monkeypatch, g, closures):
+    # The whole group's generators are cached with the table, so every grow
+    # call in the lattice is one normal closure: D_n closes d(n) + 2 classes
+    # (one per rotation subgroup, two reflection classes), not one per class.
+    t = g._table()
+    grows = 0
+    grow = t.grow
+
+    def counted(*args, **kwargs):
+        nonlocal grows
+        grows += 1
+        return grow(*args, **kwargs)
+
+    monkeypatch.setattr(t, "grow", counted)
+    normals = t.lattice(t.all)
+    assert grows == closures, g.name
+    assert normals == [t.indices(s) for s in _oracle_lattice(g.elements)], g.name
 
 
 def test_table_budget_stops_normality_and_quotients():
@@ -601,7 +629,7 @@ def test_table_budget_stops_normality_and_quotients():
 
 def test_index_core_matches_perm_oracle():
     groups = [cyclic_group(n) for n in range(1, 61)]
-    groups += [dihedral_group(n) for n in range(3, 31)]
+    groups += [dihedral_group(n) for n in list(range(3, 31)) + [36, 48]]
     groups += [alternating_group(n) for n in range(1, 7)]
     groups += [symmetric_group(n) for n in range(1, 6)]
     for g in groups:
