@@ -198,6 +198,13 @@ class CayleyTable:
             self._orders[x] = order
         return order
 
+    def powers(self, x):
+        """[x, x^2, ..., x^m], where m is the order of x and x^m is 0."""
+        row, out = self.mul[x], [x]
+        while out[-1]:
+            out.append(row[out[-1]])
+        return out
+
     def product(self, a, b):
         """The product set AB of two normal subgroups, which is their join."""
         mul = self.mul
@@ -234,10 +241,8 @@ class CayleyTable:
                 if involutions == 2:
                     break
         if gen is not None:
-            powers = [0]
-            for _ in range(n - 1):
-                powers.append(self.mul[powers[-1]][gen])
-            return [frozenset(powers[:: n // d]) for d in _divisors(n)]
+            powers = self.powers(gen)
+            return [frozenset(powers[n // d - 1:: n // d]) for d in _divisors(n)]
         closures, closed = set(), set()
         for cls in self.classes(s, self.generators(s)):
             if not closed.isdisjoint(cls):
@@ -245,12 +250,8 @@ class CayleyTable:
             have = {0}
             self.grow(have, (), cls)
             closures.add(frozenset(have))
-            x = next(iter(cls))
-            row, powers = self.mul[x], [x]
-            while powers[-1]:
-                powers.append(row[powers[-1]])
-            order = len(powers)  # powers[j - 1] is x^j, and x^order = 1
-            closed.update(p for j, p in enumerate(powers, 1) if math.gcd(j, order) == 1)
+            powers = self.powers(next(iter(cls)))
+            closed.update(p for j, p in enumerate(powers, 1) if math.gcd(j, len(powers)) == 1)
         normals = {frozenset({0})} | closures
         worklist = list(closures)
         while worklist:
