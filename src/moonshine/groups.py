@@ -5,8 +5,8 @@ Elements are enumerated once, by breadth-first closure under the
 generators, which also records each generator's right and left
 multiplication maps on integer indices.  The closure composes image tuples
 through one getter per generator, and only ``is_abelian`` calls
-``Perm.__mul__``.  Conjugacy classes are orbits read
-off the maps, so groups too large for a table (S8) still answer them.
+``Perm.__mul__``.  Conjugacy classes are orbits read off the maps, so
+groups too large for a table (S8) still answer them.
 Normality, quotients, normal subgroups, simplicity, composition series and
 their factors run over a Cayley table that each group builds on first use
 from its left maps (:mod:`moonshine._cayley`).  Public methods still take

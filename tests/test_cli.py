@@ -436,11 +436,14 @@ def test_one_error_root():
     lambda: sl2z.Mat2Z(2, 0, 0, 1),
     lambda: sl2z.UpperHalfPoint(0, 0),
     lambda: sl2z.UpperHalfPoint(0, -1),
+    lambda: sl2z.evaluate_word([("S", 2)]),
+    lambda: sl2z.evaluate_word([("U", 1)]),
     lambda: monster.decompose_bounded(-1, monster.IrrepDims.from_resource(), 1, 1),
     lambda: monster.decompose_bounded(1, monster.IrrepDims.from_resource(), 0, 1),
     lambda: monster.decompose_bounded(1, monster.IrrepDims.from_resource(), 1, 0),
 ], ids=["perm-images", "degree-mismatch", "trivial-simple", "cyclic-0", "dihedral-2",
-        "symmetric-0", "alternating-0", "det", "y-zero", "y-negative", "target",
+        "symmetric-0", "alternating-0", "det", "y-zero", "y-negative", "word-exponent",
+        "word-move", "target",
         "max-mult", "max-parts"])
 def test_refused_arguments_raise_domain_error(call):
     # A bad argument to a library constructor or call is a refused input:
