@@ -8,6 +8,10 @@ interpreter's int/str digit limit, in an argument or in a result, is an
 1 a verification returned false, 2 a usage error or one ``error:`` line for a
 :class:`MoonshineError` or ``OSError``; any other exception is a fault and
 propagates.  No budget or option is read from the environment.
+
+Each command, and each argument type that builds a library object, imports
+the one subsystem it uses when it runs, so a call loads only that subsystem:
+``group`` never loads the series code, and ``reduce`` no group code.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import re
 import sys
 from fractions import Fraction
 
-from . import groups, modular, monster, sl2z
 from ._errors import MoonshineError
 
 
@@ -42,6 +45,7 @@ def _int_str(n):
 def _word_str(word):
     """A generator word as text, refused like :func:`_int_str` if an
     exponent is past the digit limit."""
+    from . import sl2z
     try:
         return sl2z.word_to_str(word)
     except ValueError:
@@ -111,6 +115,7 @@ def _parse_fraction(text):
 
 
 def _parse_point(text):
+    from . import sl2z
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected a point as x,y with rational parts")
@@ -129,6 +134,7 @@ def _parse_complex(text):
 
 
 def _parse_matrix(text):
+    from . import sl2z
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("expected a matrix as a,b,c,d")
@@ -147,6 +153,7 @@ _GROUP_NAME = re.compile(r"^([CDAS])(\d+)$")
 
 
 def _parse_group(name):
+    from . import groups
     m = _GROUP_NAME.match(name)
     if not m:
         raise argparse.ArgumentTypeError(
@@ -169,6 +176,7 @@ def _series_record(series, lo, hi):
 
 
 def cmd_j(args):
+    from . import modular
     form = modular.j_normalized(args.order) if args.normalized else modular.j_expansion(args.order)
     lines = _series_lines(form.series, -1, args.order)
     _emit(args, {"label": form.label, **_series_record(form.series, -1, args.order)}, lines)
@@ -176,6 +184,7 @@ def cmd_j(args):
 
 
 def cmd_eisenstein(args):
+    from . import modular
     form = modular.eisenstein_normalized(args.weight, args.order)
     lines = _series_lines(form.series, 0, args.order)
     _emit(args, {"label": form.label, "weight": args.weight,
@@ -184,6 +193,7 @@ def cmd_eisenstein(args):
 
 
 def cmd_delta(args):
+    from . import modular
     form = modular.discriminant(args.order)
     lines = _series_lines(form.series, 1, args.order)
     _emit(args, {"label": form.label, **_series_record(form.series, 1, args.order)}, lines)
@@ -191,6 +201,7 @@ def cmd_delta(args):
 
 
 def cmd_reduce(args):
+    from . import sl2z
     tau_star, m, word = sl2z.reduce_to_fundamental(args.tau)
     text = _word_str(word)
     record = {
@@ -209,6 +220,7 @@ def cmd_reduce(args):
 
 
 def cmd_equiv(args):
+    from . import sl2z
     m = sl2z.tau_equivalent(args.tau1, args.tau2)
     if m is None:
         _emit(args, {"equivalent": False}, ["equivalent false"])
@@ -219,6 +231,7 @@ def cmd_equiv(args):
 
 
 def cmd_lattice(args):
+    from . import sl2z
     b1 = sl2z.LatticeBasis(args.b1[0], args.b1[1])
     b2 = sl2z.LatticeBasis(args.b2[0], args.b2[1])
     m = sl2z.lattice_same(b1, b2)
@@ -232,6 +245,7 @@ def cmd_lattice(args):
 
 
 def cmd_word(args):
+    from . import sl2z
     word = sl2z.word_decompose(args.matrix)
     check = sl2z.evaluate_word(word) == args.matrix
     text = _word_str(word)
@@ -243,7 +257,8 @@ def cmd_group(args):
     g = args.name
     if args.action == "classes":
         classes = g.conjugacy_classes()
-        lines = [f"{_int_str(c.size)} {c.representative!r}" for c in classes]
+        # Lazy, so that --json, which prints no representative, spells none out.
+        lines = (f"{_int_str(c.size)} {c.representative!r}" for c in classes)
         record = {"group": g.name, "order": g.order,
                   "class_sizes": [c.size for c in classes]}
     elif args.action == "series":
@@ -260,6 +275,7 @@ def cmd_group(args):
 
 
 def cmd_mckay(args):
+    from . import monster
     coeffs = monster.CoeffTable.from_resource()
     if args.irreps:
         dims = monster.IrrepDims.from_file(args.irreps)
@@ -287,6 +303,7 @@ def cmd_mckay(args):
 
 
 def cmd_knz(args):
+    from . import monster
     result = monster.knz_verify(args.order, unnormalized_c0=args.use_unnormalized_c0)
     lines = [f"equal: {'true' if result.equal else 'false'}"]
     mism = result.mismatches()
@@ -299,6 +316,7 @@ def cmd_knz(args):
 
 
 def cmd_facts(args):
+    from . import monster
     facts = monster.MONSTER_FACTS
     order = facts.order
     digits = len(_int_str(order))

@@ -25,12 +25,12 @@ first order collision between non-isomorphic simple groups occurs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import itemgetter, mul
+from operator import ge, gt, itemgetter, le, lt, mul
 
 from ._errors import DomainError, MoonshineError
+from ._record import Record, compare, setfield
 
 
 class CapExceeded(MoonshineError, RuntimeError):
@@ -148,19 +148,28 @@ class Perm:
         return self.images < other.images
 
     def __repr__(self):
+        images = self.images
+        if len(_POINT_NAMES) < len(images):
+            _POINT_NAMES.extend(map(str, range(len(_POINT_NAMES), len(images))))
         cycles = []
-        seen = [False] * len(self.images)
-        for i in range(len(self.images)):
-            if seen[i] or self.images[i] == i:
+        seen = [False] * len(images)
+        for i in range(len(images)):
+            if seen[i] or images[i] == i:
                 seen[i] = True
                 continue
             cyc, j = [], i
             while not seen[j]:
                 seen[j] = True
                 cyc.append(j)
-                j = self.images[j]
-            cycles.append("(" + " ".join(map(str, cyc)) + ")")
+                j = images[j]
+            cycles.append("(" + " ".join(_take(_POINT_NAMES, cyc)) + ")")
         return "".join(cycles) or "()"
+
+
+# str(i) for every point 0, 1, ... of the largest degree a Perm was spelled
+# out at: naming the points, not walking the cycles, was most of a repr's
+# time, and one CLI call spells out every class representative.
+_POINT_NAMES = []
 
 
 def _take(seq, idx):
@@ -251,30 +260,39 @@ def _enumerate(gens, degree):
     return frozenset(seen), (elems, dict(zip(found, pos)), relabel(right), relabel(left))
 
 
-@dataclass(frozen=True)
-class ConjClass:
-    representative: Perm
-    members: frozenset
+class ConjClass(Record):
+    __slots__ = ("representative", "members")
+
+    def __init__(self, representative: Perm, members: frozenset):
+        setfield(self, "representative", representative)
+        setfield(self, "members", members)
 
     @property
     def size(self) -> int:
         return len(self.members)
 
 
-@dataclass(frozen=True, order=True)
-class FactorDescriptor:
-    """Isomorphism-type proxy for a composition factor."""
+class FactorDescriptor(Record):
+    """Isomorphism-type proxy for a composition factor, ordered as the tuple
+    (order, is_abelian, is_simple)."""
 
-    order: int
-    is_abelian: bool
-    is_simple: bool
+    __slots__ = ("order", "is_abelian", "is_simple")
+
+    def __init__(self, order: int, is_abelian: bool, is_simple: bool):
+        setfield(self, "order", order)
+        setfield(self, "is_abelian", is_abelian)
+        setfield(self, "is_simple", is_simple)
+
+    __lt__, __le__, __gt__, __ge__ = map(compare, (lt, le, gt, ge))
 
 
-@dataclass(frozen=True)
-class ClassFunction:
+class ClassFunction(Record):
     """Rational-valued function on the conjugacy classes, keyed by class index."""
 
-    values: dict
+    __slots__ = ("values",)
+
+    def __init__(self, values: dict):
+        setfield(self, "values", values)
 
 
 class PermGroup:
@@ -320,8 +338,9 @@ class PermGroup:
             if n * n > TABLE_LIMIT:
                 raise CapExceeded(f"order {n} needs a Cayley table of {n * n} entries; "
                                   f"TABLE_LIMIT is {TABLE_LIMIT}")
-            # Imported on first use: without a bytecode cache, compiling the
-            # index core costs every import of the package about 1 ms.
+            # Imported on first use, like every module of the package that a
+            # call may not need: without a bytecode cache each import compiles
+            # its source, about 1 ms for the index core.
             from ._cayley import CayleyTable
             elems, index, _, left = self._maps
             self._cayley = CayleyTable(self.elements, elems, index, left)

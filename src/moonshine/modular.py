@@ -20,11 +20,11 @@ Eisenstein series, whose Bernoulli number costs O(w^2) Fraction sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
 from ._errors import DomainError, MoonshineError
+from ._record import Record, setfield
 from .qseries import LaurentSeries
 
 
@@ -47,13 +47,15 @@ def _check_window(order: int, width: int) -> None:
                              f"SERIES_ORDER_LIMIT is {SERIES_ORDER_LIMIT}")
 
 
-@dataclass(frozen=True)
-class ModularFormExpansion:
+class ModularFormExpansion(Record):
     """A labelled q-expansion of a modular form or function."""
 
-    label: str
-    weight: int
-    series: LaurentSeries
+    __slots__ = ("label", "weight", "series")
+
+    def __init__(self, label: str, weight: int, series: LaurentSeries):
+        setfield(self, "label", label)
+        setfield(self, "weight", weight)
+        setfield(self, "series", series)
 
 
 def sigma(k: int, n: int) -> int:

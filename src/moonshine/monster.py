@@ -17,11 +17,11 @@ and the verifier exposes exactly that as a negative control.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 
 from ._errors import DomainError, MoonshineError
+from ._record import Record, setfield
 from .modular import BudgetExceeded, j_normalized
 from .qseries import BiLaurentSeries
 
@@ -83,24 +83,24 @@ def _resource_table(name, first):
                        name, first)
 
 
-@dataclass(frozen=True)
-class CoeffTable:
+class CoeffTable(Record):
     """Exact coefficients c(n) for n = -1 .. max_index, with provenance."""
 
-    values: dict
-    provenance: str
-    normalized: bool = True
+    __slots__ = ("values", "provenance", "normalized")
 
-    def __post_init__(self):
-        for n, v in self.values.items():
+    def __init__(self, values: dict, provenance: str, normalized: bool = True):
+        for n, v in values.items():
             if type(v) is not int:
                 raise DataFormatError(f"c({n}) = {v!r} is not an int")
-        if set(self.values) != set(range(-1, len(self.values) - 1)):
+        if set(values) != set(range(-1, len(values) - 1)):
             raise DataFormatError("coefficient table must cover a contiguous range from -1")
-        if self.values.get(-1) != 1:
+        if values.get(-1) != 1:
             raise DataFormatError("c(-1) must be 1")
-        if self.normalized and self.values.get(0, 0) != 0:
+        if normalized and values.get(0, 0) != 0:
             raise DataFormatError("normalized table must have c(0) = 0")
+        setfield(self, "values", values)
+        setfield(self, "provenance", provenance)
+        setfield(self, "normalized", normalized)
 
     @classmethod
     def from_resource(cls) -> "CoeffTable":
@@ -135,20 +135,20 @@ class CoeffTable:
         return CoeffTable(values, f"{self.provenance}, c({n}) overridden", normalized)
 
 
-@dataclass(frozen=True)
-class IrrepDims:
+class IrrepDims(Record):
     """Leading monster irreducible dimensions r_1 <= r_2 <= ... (1-based)."""
 
-    dims: tuple
+    __slots__ = ("dims",)
 
-    def __post_init__(self):
-        if not self.dims:
+    def __init__(self, dims: tuple):
+        if not dims:
             raise DataFormatError("no dimensions")
-        if self.dims[0] != 1:
-            raise DataFormatError(f"r_1 must be 1, not {self.dims[0]}")
-        for i, (a, b) in enumerate(zip(self.dims, self.dims[1:]), 2):
+        if dims[0] != 1:
+            raise DataFormatError(f"r_1 must be 1, not {dims[0]}")
+        for i, (a, b) in enumerate(zip(dims, dims[1:]), 2):
             if a >= b:
                 raise DataFormatError(f"dimensions must increase, but r_{i} = {b} <= r_{i - 1}")
+        setfield(self, "dims", dims)
 
     @classmethod
     def from_resource(cls) -> "IrrepDims":
@@ -178,12 +178,14 @@ class IrrepDims:
         return IrrepDims(self.dims + tuple(extra))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Multiplicities (m_1, ..., m_k) with sum m_i * r_i equal to ``total``."""
 
-    multiplicities: tuple
-    total: int
+    __slots__ = ("multiplicities", "total")
+
+    def __init__(self, multiplicities: tuple, total: int):
+        setfield(self, "multiplicities", multiplicities)
+        setfield(self, "total", total)
 
 
 class CheckStatus(Enum):
@@ -192,13 +194,16 @@ class CheckStatus(Enum):
     NOT_CONFIGURED = "not-configured"
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    label: str
-    q_exponent: int
-    coefficient: int | None
-    decomposition: Decomposition | None
-    status: CheckStatus
+class IdentityCheck(Record):
+    __slots__ = ("label", "q_exponent", "coefficient", "decomposition", "status")
+
+    def __init__(self, label: str, q_exponent: int, coefficient: int | None,
+                 decomposition: Decomposition | None, status: CheckStatus):
+        setfield(self, "label", label)
+        setfield(self, "q_exponent", q_exponent)
+        setfield(self, "coefficient", coefficient)
+        setfield(self, "decomposition", decomposition)
+        setfield(self, "status", status)
 
 
 # The five classical decomposition identities, as multiplicity vectors over
@@ -287,11 +292,13 @@ def decompose_bounded(target: int, dims: IrrepDims, max_mult: int, max_parts: in
     return results
 
 
-@dataclass(frozen=True)
-class KnzResult:
-    lhs: BiLaurentSeries
-    rhs: BiLaurentSeries
-    equal: bool
+class KnzResult(Record):
+    __slots__ = ("lhs", "rhs", "equal")
+
+    def __init__(self, lhs: BiLaurentSeries, rhs: BiLaurentSeries, equal: bool):
+        setfield(self, "lhs", lhs)
+        setfield(self, "rhs", rhs)
+        setfield(self, "equal", equal)
 
     def mismatches(self):
         """Sorted (m, n, lhs, rhs) for every monomial where the sides differ."""
@@ -429,14 +436,19 @@ def monster_order() -> int:
     return out
 
 
-@dataclass(frozen=True)
-class MonsterFacts:
+class MonsterFacts(Record):
     """Documented constants about the monster; recorded, not computed."""
 
-    order_factorization: tuple = MONSTER_ORDER_FACTORIZATION
-    conjugacy_class_count: int = 194
-    distinct_mckay_thompson_series: int = 172
-    mckay_thompson_span_dimension: int = 163
+    __slots__ = ("order_factorization", "conjugacy_class_count",
+                 "distinct_mckay_thompson_series", "mckay_thompson_span_dimension")
+
+    def __init__(self, order_factorization: tuple = MONSTER_ORDER_FACTORIZATION,
+                 conjugacy_class_count: int = 194, distinct_mckay_thompson_series: int = 172,
+                 mckay_thompson_span_dimension: int = 163):
+        setfield(self, "order_factorization", order_factorization)
+        setfield(self, "conjugacy_class_count", conjugacy_class_count)
+        setfield(self, "distinct_mckay_thompson_series", distinct_mckay_thompson_series)
+        setfield(self, "mckay_thompson_span_dimension", mckay_thompson_span_dimension)
 
     @property
     def order(self) -> int:

@@ -15,10 +15,10 @@ Theory, section 5.4); words are decomposed and evaluated on integer entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._errors import DomainError, MoonshineError
+from ._record import Record, setfield
 
 
 class DegenerateBasis(MoonshineError, ValueError):
@@ -31,18 +31,18 @@ def _frac(v) -> Fraction:
     return Fraction(v)
 
 
-@dataclass(frozen=True)
-class Mat2Z:
+class Mat2Z(Record):
     """Integer 2x2 matrix (a b; c d) with determinant 1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.a * self.d - self.b * self.c != 1:
+    def __init__(self, a: int, b: int, c: int, d: int):
+        if a * d - b * c != 1:
             raise DomainError("determinant must be 1")
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+        setfield(self, "c", c)
+        setfield(self, "d", d)
 
     def __mul__(self, other: "Mat2Z") -> "Mat2Z":
         return Mat2Z(
@@ -59,19 +59,18 @@ class Mat2Z:
         return (self.a, self.b, self.c, self.d)
 
 
-@dataclass(frozen=True)
-class PSLElement:
+class PSLElement(Record):
     """Element of PSL2(Z): a matrix identified with its negative.
 
     The stored representative is canonical: c > 0, or c == 0 and a > 0.
     """
 
-    rep: Mat2Z
+    __slots__ = ("rep",)
 
-    def __post_init__(self):
-        m = self.rep
-        if m.c < 0 or (m.c == 0 and m.a < 0):
-            object.__setattr__(self, "rep", Mat2Z(-m.a, -m.b, -m.c, -m.d))
+    def __init__(self, rep: Mat2Z):
+        if rep.c < 0 or (rep.c == 0 and rep.a < 0):
+            rep = Mat2Z(-rep.a, -rep.b, -rep.c, -rep.d)
+        setfield(self, "rep", rep)
 
     def __mul__(self, other: "PSLElement") -> "PSLElement":
         return PSLElement(self.rep * other.rep)
@@ -93,33 +92,30 @@ def t_power(k: int) -> PSLElement:
     return PSLElement(Mat2Z(1, k, 0, 1))
 
 
-@dataclass(frozen=True)
-class UpperHalfPoint:
+class UpperHalfPoint(Record):
     """A point x + iy of the upper half-plane with exact rational coordinates."""
 
-    x: Fraction
-    y: Fraction
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _frac(self.x))
-        object.__setattr__(self, "y", _frac(self.y))
-        if self.y <= 0:
+    def __init__(self, x: Fraction, y: Fraction):
+        x, y = _frac(x), _frac(y)
+        if y <= 0:
             raise DomainError("imaginary part must be positive")
+        setfield(self, "x", x)
+        setfield(self, "y", y)
 
     def norm_sq(self) -> Fraction:
         return self.x * self.x + self.y * self.y
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(Record):
     """Basis (omega1, omega2) of a rank-2 lattice in C, as (re, im) pairs."""
 
-    omega1: tuple[Fraction, Fraction]
-    omega2: tuple[Fraction, Fraction]
+    __slots__ = ("omega1", "omega2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "omega1", (_frac(self.omega1[0]), _frac(self.omega1[1])))
-        object.__setattr__(self, "omega2", (_frac(self.omega2[0]), _frac(self.omega2[1])))
+    def __init__(self, omega1: tuple[Fraction, Fraction], omega2: tuple[Fraction, Fraction]):
+        setfield(self, "omega1", (_frac(omega1[0]), _frac(omega1[1])))
+        setfield(self, "omega2", (_frac(omega2[0]), _frac(omega2[1])))
 
 
 def moebius(m: PSLElement, tau: UpperHalfPoint) -> UpperHalfPoint:

@@ -410,7 +410,8 @@ _BASES = {
 
 
 def test_one_error_root():
-    exported = {name: value for name, value in vars(moonshine).items()
+    exported = {name: value for name, value in
+                {n: getattr(moonshine, n) for n in moonshine.__all__}.items()
                 if inspect.isclass(value) and issubclass(value, BaseException)}
     defined = {name: value for module in (qseries, modular, sl2z, groups, monster, _errors)
                for name, value in vars(module).items()

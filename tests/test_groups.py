@@ -178,6 +178,34 @@ def test_perm_basics():
         Perm((0, 0, 1))
 
 
+def _cycle_text(p):
+    """Disjoint cycle notation by a plain walk, naming each point by str()."""
+    seen, out = set(), []
+    for i in range(p.degree):
+        if i not in seen and p(i) != i:
+            cyc = [i]
+            while p(cyc[-1]) != i:
+                cyc.append(p(cyc[-1]))
+            seen.update(cyc)
+            out.append("(" + " ".join(str(j) for j in cyc) + ")")
+    return "".join(out) or "()"
+
+
+def test_perm_repr_names_points_at_every_degree():
+    # Small, then large, then small again: the shared point names grow once
+    # and still serve the smaller degrees.
+    rng = random.Random(12)
+    perms = [Perm.identity(1), Perm.from_cycles(4, (0, 1, 2)), Perm.identity(250)]
+    for degree in (3, 250, 7, 1, 120, 251, 2):
+        images = list(range(degree))
+        rng.shuffle(images)
+        perms.append(Perm(images))
+    perms.append(cyclic_group(300).generators[0])
+    for p in perms:
+        assert repr(p) == _cycle_text(p)
+    assert repr(Perm.from_cycles(12, (10, 11), (0, 5))) == "(0 5)(10 11)"
+
+
 def test_constructor_orders():
     assert cyclic_group(12).order == 12
     assert cyclic_group(1).order == 1
