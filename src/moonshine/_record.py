@@ -32,8 +32,7 @@ def compare(op):
 class Record:
     __slots__ = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
         # The fields as a tuple, read at C speed; one field needs the wrap,
         # since attrgetter of one name returns the bare value.
         get = attrgetter(*cls.__slots__)
