@@ -1,10 +1,14 @@
 """Command-line surface: every subsystem as a scriptable subcommand.
 
-All numbers are printed as exact decimals (rationals as num/den); the --json
-flag switches to newline-delimited JSON objects whose integers are encoded as
-strings, so consumers never face 64-bit overflow.  A number past the
-interpreter's int/str digit limit, in an argument or in a result, is an
-``error:`` line, not a traceback.  Exit codes: 0 success,
+Each command does its library work and returns its exit code, one record and
+a function that makes the text lines from that record.  :func:`_render` then
+spells out every number in the record exactly once, before anything is
+written: an int in decimal, a rational as num/den.  With --json it prints the
+record as one JSON object whose integers are strings, so consumers never face
+64-bit overflow; otherwise it streams the text lines one at a time, so a long
+output is never held whole.  A number past the interpreter's int/str digit
+limit, in an argument or in a result, is one ``error:`` line, not a
+traceback, and a refused result leaves stdout empty.  Exit codes: 0 success,
 1 a verification returned false, 2 a usage error or one ``error:`` line for a
 :class:`MoonshineError` or ``OSError``; any other exception is a fault and
 propagates.  No budget or option is read from the environment.
@@ -24,63 +28,6 @@ import sys
 from fractions import Fraction
 
 from ._errors import MoonshineError
-
-
-def _too_long():
-    return MoonshineError(f"a result has more than {sys.get_int_max_str_digits()} digits, "
-                          "the limit of sys.get_int_max_str_digits()")
-
-
-def _int_str(n):
-    """Decimal text of the int ``n``; every number the CLI prints goes
-    through here or, for a word's exponents, :func:`_word_str`.  A result
-    longer than the interpreter's int/str digit limit is refused with one
-    line instead of str()'s ValueError."""
-    try:
-        return str(n)
-    except ValueError:
-        raise _too_long() from None
-
-
-def _word_str(word):
-    """A generator word as text, refused like :func:`_int_str` if an
-    exponent is past the digit limit."""
-    from . import sl2z
-    try:
-        return sl2z.word_to_str(word)
-    except ValueError:
-        raise _too_long() from None
-
-
-def _json_safe(value):
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, int):
-        return _int_str(value)
-    if isinstance(value, Fraction):
-        return _frac_str(value)
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    return str(value)
-
-
-def _emit(args, record, human_lines):
-    if args.json:
-        print(json.dumps(_json_safe(record), sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
-
-
-def _coeff_str(c):
-    return _frac_str(c) if isinstance(c, Fraction) else _int_str(c)
-
-
-def _frac_str(v):
-    """An int or Fraction as num/den."""
-    return f"{_int_str(v.numerator)}/{_int_str(v.denominator)}"
 
 
 # CPython's default int/str digit limit.  It bounds decimal exponents when
@@ -167,67 +114,60 @@ def _parse_group(name):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _series_lines(series, lo, hi):
-    return [f"{_int_str(n)} {_coeff_str(series.coefficient(n))}" for n in range(lo, hi)]
-
-
-def _series_record(series, lo, hi):
-    return {"coefficients": {_int_str(n): series.coefficient(n) for n in range(lo, hi)}}
+def _series(form, lo, hi, **fields):
+    """A q-expansion's coefficients of q^lo .. q^(hi - 1), one ``n c`` line each."""
+    record = {"label": form.label, **fields,
+              "coefficients": {n: form.series.coefficient(n) for n in range(lo, hi)}}
+    return 0, record, lambda r: (f"{n} {c}" for n, c in r["coefficients"].items())
 
 
 def cmd_j(args):
     from . import modular
     form = modular.j_normalized(args.order) if args.normalized else modular.j_expansion(args.order)
-    lines = _series_lines(form.series, -1, args.order)
-    _emit(args, {"label": form.label, **_series_record(form.series, -1, args.order)}, lines)
-    return 0
+    return _series(form, -1, args.order)
 
 
 def cmd_eisenstein(args):
     from . import modular
     form = modular.eisenstein_normalized(args.weight, args.order)
-    lines = _series_lines(form.series, 0, args.order)
-    _emit(args, {"label": form.label, "weight": args.weight,
-                 **_series_record(form.series, 0, args.order)}, lines)
-    return 0
+    return _series(form, 0, args.order, weight=args.weight)
 
 
 def cmd_delta(args):
     from . import modular
-    form = modular.discriminant(args.order)
-    lines = _series_lines(form.series, 1, args.order)
-    _emit(args, {"label": form.label, **_series_record(form.series, 1, args.order)}, lines)
-    return 0
+    return _series(modular.discriminant(args.order), 1, args.order)
 
 
 def cmd_reduce(args):
     from . import sl2z
     tau_star, m, word = sl2z.reduce_to_fundamental(args.tau)
-    text = _word_str(word)
     record = {
         "tau": [tau_star.x, tau_star.y],
         "matrix": list(m.rep.entries()),
-        "word": text,
+        "word": functools.partial(sl2z.word_to_str, word),
         "in_domain": sl2z.in_fundamental_domain(tau_star),
     }
-    lines = [
-        f"tau {_frac_str(tau_star.x)} {_frac_str(tau_star.y)}",
-        "matrix " + " ".join(map(_int_str, m.rep.entries())),
-        f"word {text}",
-    ]
-    _emit(args, record, lines)
-    return 0
+    return 0, record, lambda r: ["tau " + " ".join(r["tau"]), "matrix " + " ".join(r["matrix"]),
+                                 f"word {r['word']}"]
+
+
+def _verdict(key, flat):
+    """A yes/no answer under ``key`` and, for yes, its witness matrix ``flat``."""
+    record = {key: flat is not None}
+    if flat is not None:
+        record["matrix"] = flat
+
+    def text(r):
+        yield f"{key.replace('_', '-')} {'true' if r[key] else 'false'}"
+        if "matrix" in r:
+            yield "matrix " + " ".join(r["matrix"])
+    return 0, record, text
 
 
 def cmd_equiv(args):
     from . import sl2z
     m = sl2z.tau_equivalent(args.tau1, args.tau2)
-    if m is None:
-        _emit(args, {"equivalent": False}, ["equivalent false"])
-    else:
-        _emit(args, {"equivalent": True, "matrix": list(m.rep.entries())},
-              ["equivalent true", "matrix " + " ".join(map(_int_str, m.rep.entries()))])
-    return 0
+    return _verdict("equivalent", None if m is None else list(m.rep.entries()))
 
 
 def cmd_lattice(args):
@@ -235,110 +175,126 @@ def cmd_lattice(args):
     b1 = sl2z.LatticeBasis(args.b1[0], args.b1[1])
     b2 = sl2z.LatticeBasis(args.b2[0], args.b2[1])
     m = sl2z.lattice_same(b1, b2)
-    if m is None:
-        _emit(args, {"same_lattice": False}, ["same-lattice false"])
-    else:
-        flat = [m[0][0], m[0][1], m[1][0], m[1][1]]
-        _emit(args, {"same_lattice": True, "matrix": flat},
-              ["same-lattice true", "matrix " + " ".join(map(_int_str, flat))])
-    return 0
+    return _verdict("same_lattice", None if m is None else [*m[0], *m[1]])
 
 
 def cmd_word(args):
     from . import sl2z
     word = sl2z.word_decompose(args.matrix)
     check = sl2z.evaluate_word(word) == args.matrix
-    text = _word_str(word)
-    _emit(args, {"word": text, "verified": check}, [f"word {text}"])
-    return 0 if check else 1
+    record = {"word": functools.partial(sl2z.word_to_str, word), "verified": check}
+    return (0 if check else 1), record, lambda r: [f"word {r['word']}"]
 
 
 def cmd_group(args):
     g = args.name
     if args.action == "classes":
         classes = g.conjugacy_classes()
-        # Lazy, so that --json, which prints no representative, spells none out.
-        lines = (f"{_int_str(c.size)} {c.representative!r}" for c in classes)
-        record = {"group": g.name, "order": g.order,
-                  "class_sizes": [c.size for c in classes]}
-    elif args.action == "series":
-        chain = g.composition_series()
-        lines = ["orders " + " ".join(_int_str(len(s)) for s in chain)]
-        record = {"group": g.name, "subgroup_orders": [len(s) for s in chain]}
-    else:
-        factors = g.jordan_holder_factors()
-        lines = [" ".join(_int_str(d.order) for d in factors)]
-        record = {"group": g.name, "factor_orders": [d.order for d in factors],
-                  "abelian": [d.is_abelian for d in factors]}
-    _emit(args, record, lines)
-    return 0
+        record = {"group": g.name, "order": g.order, "class_sizes": [c.size for c in classes]}
+        # The representatives are not in the record, which --json prints
+        # without them; each is spelled out only as its line is written.
+        return 0, record, lambda r: (f"{size} {c.representative!r}"
+                                     for size, c in zip(r["class_sizes"], classes))
+    if args.action == "series":
+        record = {"group": g.name, "subgroup_orders": [len(s) for s in g.composition_series()]}
+        return 0, record, lambda r: ["orders " + " ".join(r["subgroup_orders"])]
+    factors = g.jordan_holder_factors()
+    record = {"group": g.name, "factor_orders": [d.order for d in factors],
+              "abelian": [d.is_abelian for d in factors]}
+    return 0, record, lambda r: [" ".join(r["factor_orders"])]
 
 
 def cmd_mckay(args):
     from . import monster
     coeffs = monster.CoeffTable.from_resource()
-    if args.irreps:
-        dims = monster.IrrepDims.from_file(args.irreps)
-    else:
-        dims = monster.IrrepDims.from_resource()
-    results = monster.mckay_identity_check(coeffs, dims)
-    lines = []
+    dims = (monster.IrrepDims.from_file(args.irreps) if args.irreps
+            else monster.IrrepDims.from_resource())
     rows = []
     ok = True
-    for chk in results:
-        if chk.status is monster.CheckStatus.NOT_CONFIGURED:
-            lines.append(f"{chk.label} not-configured (supply more irrep dimensions)")
-            rows.append({"label": chk.label, "status": chk.status.value})
-            continue
-        ok = ok and chk.status is monster.CheckStatus.PASS
-        mults = " + ".join(f"{_int_str(m)}*r{_int_str(i + 1)}"
-                           for i, m in enumerate(chk.decomposition.multiplicities) if m)
-        lines.append(f"{chk.label} = {_int_str(chk.coefficient)} vs {mults} = "
-                     f"{_int_str(chk.decomposition.total)}: {chk.status.value}")
-        rows.append({"label": chk.label, "status": chk.status.value,
-                     "coefficient": chk.coefficient, "sum": chk.decomposition.total,
-                     "multiplicities": list(chk.decomposition.multiplicities)})
-    _emit(args, {"checks": rows, "all_configured_pass": ok}, lines)
-    return 0 if ok else 1
+    for chk in monster.mckay_identity_check(coeffs, dims):
+        rows.append({"label": chk.label, "status": chk.status.value})
+        if chk.status is not monster.CheckStatus.NOT_CONFIGURED:
+            ok = ok and chk.status is monster.CheckStatus.PASS
+            rows[-1].update(coefficient=chk.coefficient, sum=chk.decomposition.total,
+                            multiplicities=list(chk.decomposition.multiplicities))
+
+    def text(r):
+        for row in r["checks"]:
+            if "sum" not in row:
+                yield f"{row['label']} not-configured (supply more irrep dimensions)"
+                continue
+            mults = " + ".join(f"{m}*r{i}" for i, m in enumerate(row["multiplicities"], 1)
+                               if m != "0")
+            yield "{label} = {coefficient} vs {mults} = {sum}: {status}".format(mults=mults, **row)
+    return (0 if ok else 1), {"checks": rows, "all_configured_pass": ok}, text
 
 
 def cmd_knz(args):
     from . import monster
     result = monster.knz_verify(args.order, unnormalized_c0=args.use_unnormalized_c0)
-    lines = [f"equal: {'true' if result.equal else 'false'}"]
-    mism = result.mismatches()
-    for m, n, a, b in mism[:20]:
-        lines.append(f"p^{_int_str(m)} q^{_int_str(n)}: lhs {_int_str(a)} rhs {_int_str(b)}")
     record = {"order": args.order, "equal": result.equal,
-              "mismatches": [{"p": m, "q": n, "lhs": a, "rhs": b} for m, n, a, b in mism]}
-    _emit(args, record, lines)
-    return 0 if result.equal else 1
+              "mismatches": [{"p": m, "q": n, "lhs": a, "rhs": b}
+                             for m, n, a, b in result.mismatches()]}
+
+    def text(r):
+        yield f"equal: {'true' if r['equal'] else 'false'}"
+        for mismatch in r["mismatches"][:20]:
+            yield "p^{p} q^{q}: lhs {lhs} rhs {rhs}".format_map(mismatch)
+    return (0 if result.equal else 1), record, text
 
 
 def cmd_facts(args):
     from . import monster
     facts = monster.MONSTER_FACTS
-    order = facts.order
-    digits = len(_int_str(order))
     record = {
-        "order": order,
-        "order_digits": digits,
+        "order": facts.order,
+        "order_digits": len(str(facts.order)),  # a fixed 54 digits, far below the limit
         "order_factorization": [[p, e] for p, e in facts.order_factorization],
         "conjugacy_classes": facts.conjugacy_class_count,
         "distinct_mckay_thompson_series": facts.distinct_mckay_thompson_series,
         "mckay_thompson_span_dimension": facts.mckay_thompson_span_dimension,
     }
-    lines = [
-        f"order {_int_str(order)}",
-        f"order-digits {_int_str(digits)}",
-        "order-factorization " + " ".join(f"{_int_str(p)}^{_int_str(e)}" if e > 1 else _int_str(p)
-                                          for p, e in facts.order_factorization),
-        f"conjugacy-classes {_int_str(facts.conjugacy_class_count)}",
-        f"distinct-mckay-thompson-series {_int_str(facts.distinct_mckay_thompson_series)}",
-        f"mckay-thompson-span-dimension {_int_str(facts.mckay_thompson_span_dimension)}",
-    ]
-    _emit(args, record, lines)
-    return 0
+
+    def text(r):
+        # one line per field, in the record's order
+        r["order_factorization"] = " ".join(p if e == "1" else f"{p}^{e}"
+                                            for p, e in r["order_factorization"])
+        return (f"{key.replace('_', '-')} {value}" for key, value in r.items())
+    return 0, record, text
+
+
+def _spell(value):
+    """``value`` with every number spelled out: an int in decimal and a
+    Fraction as num/den, in lists and in dict keys and values alike.  A
+    callable stands for text made of numbers, such as a generator word, and
+    is called.  str() raises ValueError for an int past the interpreter's
+    int/str digit limit."""
+    if isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, dict):
+        return {_spell(k): _spell(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spell(v) for v in value]
+    return value()
+
+
+def _render(args, record, text):
+    """Spell out a command's ``record``, then write it as one JSON line or as
+    the lines ``text`` makes of it.  Only the spelling meets the digit limit,
+    and it ends before anything is written."""
+    try:
+        record = _spell(record)
+    except ValueError:
+        raise MoonshineError(f"a result has more than {sys.get_int_max_str_digits()} digits, "
+                             "the limit of sys.get_int_max_str_digits()") from None
+    if args.json:
+        print(json.dumps(record, sort_keys=True))
+    else:
+        sys.stdout.writelines(f"{line}\n" for line in text(record))
 
 
 def build_parser():
@@ -416,7 +372,9 @@ def main(argv=None) -> int:
     try:
         # Parsing builds the named group, whose budget check may refuse it.
         args = _parser().parse_args(argv)
-        return args.func(args)
+        code, record, text = args.func(args)
+        _render(args, record, text)
+        return code
     except (MoonshineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

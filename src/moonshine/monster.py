@@ -50,6 +50,11 @@ class DataFormatError(MoonshineError, ValueError):
 # VM, CPython 3.11.7).
 KNZ_ORDER_LIMIT = 40
 
+# Bytes read from an irrep-dimension file.  The monster's 194 irreducible
+# dimensions have at most 27 digits each, a few kilobytes as a table, so a
+# longer file is refused after this many bytes instead of being read whole.
+IRREPS_FILE_LIMIT = 2 ** 20
+
 
 def _read_table(data, name, first):
     """The values of the UTF-8 ``index value`` lines in the bytes ``data``
@@ -157,9 +162,14 @@ class IrrepDims(Record):
     @classmethod
     def from_file(cls, path) -> "IrrepDims":
         """Dimensions from a file of ``index value`` lines indexed 1, 2, ...;
-        any fault raises DataFormatError naming the file."""
+        any fault, or a file longer than ``IRREPS_FILE_LIMIT`` bytes, raises
+        DataFormatError naming the file."""
         with open(path, "rb") as fh:
-            dims = tuple(_read_table(fh.read(), path, 1))
+            data = fh.read(IRREPS_FILE_LIMIT + 1)
+        if len(data) > IRREPS_FILE_LIMIT:
+            raise DataFormatError(f"{path}: longer than IRREPS_FILE_LIMIT = "
+                                  f"{IRREPS_FILE_LIMIT} bytes")
+        dims = tuple(_read_table(data, path, 1))
         try:
             return cls(dims)
         except DataFormatError as exc:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from ._errors import MoonshineError
+from ._errors import DomainError, MoonshineError
 
 
 class ZeroLeadingCoefficient(MoonshineError, ArithmeticError):
@@ -151,7 +151,7 @@ class LaurentSeries:
         if trunc is None:
             trunc = valuation + len(coeffs)
         elif trunc != valuation + len(coeffs):
-            raise ValueError("coefficients must cover the window [valuation, trunc)")
+            raise DomainError("coefficients must cover the window [valuation, trunc)")
         self._set(coeffs, valuation, trunc)
 
     def _set(self, coeffs, valuation, trunc):
@@ -267,7 +267,7 @@ class LaurentSeries:
 
     def __truediv__(self, scalar):
         if not isinstance(scalar, (int, Fraction)) or scalar == 0:
-            raise ValueError("can only divide a series by a nonzero exact scalar")
+            raise DomainError("can only divide a series by a nonzero exact scalar")
         return self * (Fraction(1) / Fraction(scalar))
 
     def inverse(self):
@@ -313,7 +313,7 @@ class LaurentSeries:
     def truncate(self, new_trunc):
         """Restrict the known window to exponents below ``new_trunc``."""
         if new_trunc > self.trunc:
-            raise ValueError("cannot extend a series window by truncation")
+            raise DomainError("cannot extend a series window by truncation")
         if new_trunc == self.trunc:
             return self
         if new_trunc <= self.valuation:
@@ -361,14 +361,14 @@ class BiLaurentSeries:
     def __init__(self, terms, rect):
         pmin, pmax, qmin, qmax = rect
         if pmin > pmax or qmin > qmax:
-            raise ValueError("empty truncation rectangle")
+            raise DomainError("empty truncation rectangle")
         store = {}
         for (m, n), c in terms.items():
             c = _norm(c)
             if c == 0:
                 continue
             if not (pmin <= m <= pmax and qmin <= n <= qmax):
-                raise ValueError(f"exponent ({m}, {n}) outside rectangle {rect}")
+                raise DomainError(f"exponent ({m}, {n}) outside rectangle {rect}")
             store[(m, n)] = c
         self.terms = store
         self.rect = (pmin, pmax, qmin, qmax)
@@ -450,7 +450,7 @@ class BiLaurentSeries:
         if not isinstance(e, int):
             raise TypeError("series powers must be integers")
         if e < 0:
-            raise ValueError("two-variable series only support nonnegative powers")
+            raise DomainError("two-variable series only support nonnegative powers")
         result = BiLaurentSeries.one(self.rect)
         base = self
         while e:
@@ -471,7 +471,7 @@ class BiLaurentSeries:
         pmin, pmax, qmin, qmax = rect
         spmin, spmax, sqmin, sqmax = self.rect
         if pmin < spmin or pmax > spmax or qmin < sqmin or qmax > sqmax:
-            raise ValueError("can only truncate to a sub-rectangle")
+            raise DomainError("can only truncate to a sub-rectangle")
         kept = {(m, n): c for (m, n), c in self.terms.items()
                 if pmin <= m <= pmax and qmin <= n <= qmax}
         return BiLaurentSeries(kept, rect)

@@ -1,7 +1,9 @@
 """Command-line surface: output formats, determinism, and exit codes."""
 
 import inspect
+import io
 import json
+import pathlib
 import sys
 import time
 import tracemalloc
@@ -193,7 +195,8 @@ def test_decimal_exponents_bounded_with_the_digit_limit_off(capsys):
     (f"1/{10 ** 4298 + 1},1/{10 ** 4297 + 3}", False),
     (f"1/{10 ** 4298 + 1},1/{10 ** 4297 + 3}", True),
     ("99e4299,1", False),
-], ids=["tau", "tau-json", "word-exponent"])
+    ("99e4299,1", True),
+], ids=["tau", "tau-json", "word-exponent", "word-exponent-json"])
 def test_results_past_the_digit_limit_exit_2(capsys, tau, json_flag):
     # admitted inputs whose reduced point or word has more digits than the limit
     argv = ["reduce", "--tau", tau] + (["--json"] if json_flag else [])
@@ -205,6 +208,36 @@ def test_results_at_the_digit_limit_are_printed(capsys):
     exponent = sys.get_int_max_str_digits() - 1
     code, out = run_cli(capsys, "reduce", "--tau", f"1e{exponent},1")
     assert code == 0 and out == f"tau 0/1 1/1\nmatrix 1 -{entry} 0 1\nword T^-{entry}\n"
+
+
+class _CountingSink(io.TextIOBase):
+    """A stdout that keeps only the number of characters written to it."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+
+def test_text_output_is_streamed(monkeypatch):
+    # C1024 prints about 4 MB of class representatives, which --json leaves
+    # out.  Written line by line, the text form peaks within a few lines of
+    # --json; joined before it is written, it would peak a whole output higher.
+    peaks, sizes = {}, {}
+    for json_flag in (False, True):
+        sink = _CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        argv = ["group", "--name", "C1024", "--action", "classes"] + (["--json"] if json_flag else [])
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+        finally:
+            peaks[json_flag] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        sizes[json_flag] = sink.size
+    assert sizes[False] > 4 * 10 ** 6
+    assert peaks[False] - peaks[True] < sizes[False] // 8, (peaks, sizes)
 
 
 def test_group_factors(capsys):
@@ -380,6 +413,20 @@ def test_mckay_refuses_bad_irreps_files(capsys, tmp_path, content, where):
     assert str(path) in captured.err and where in captured.err, captured.err
 
 
+def test_mckay_irreps_file_read_up_to_its_limit(capsys, tmp_path):
+    # a table padded to exactly the limit is read; one byte more is refused
+    # after IRREPS_FILE_LIMIT + 1 bytes, not read to its end
+    limit = monster.IRREPS_FILE_LIMIT
+    path = tmp_path / "dims.txt"
+    path.write_bytes(_DIMS + b"#" * (limit - len(_DIMS)))
+    assert run_cli(capsys, "mckay", "--irreps", str(path))[0] == 0
+    path.write_bytes(_DIMS + b"#" * (limit + 1 - len(_DIMS)))
+    code = cli.main(["mckay", "--irreps", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: {path}: longer than IRREPS_FILE_LIMIT = {limit} bytes\n"
+
+
 def test_knz_negative_order_exits_2(capsys):
     code = cli.main(["knz", "--order", "-1"])
     captured = capsys.readouterr()
@@ -530,3 +577,23 @@ def test_parser_reused_after_usage_error(capsys):
     assert cli._parser() is cli._parser()
     assert shared == _run_sequence(capsys, argvs, fresh=True)
     assert [code for code, _, _ in shared] == [2, 0, 2, 0, 2, 0]
+
+
+# Stdout, stderr and exit code of every subcommand, in text and --json, as
+# the CLI printed them before its commands shared one renderer.  "{irreps}"
+# stands for a file of irrep dimensions whose r_7 is off by one.
+_GOLDEN = json.loads(pathlib.Path(__file__).with_name("cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", _GOLDEN, ids=[" ".join(c["argv"]) for c in _GOLDEN])
+def test_golden_outputs(capsys, tmp_path, case):
+    irreps = tmp_path / "dims.txt"
+    irreps.write_text("1 1\n2 196883\n3 21296876\n4 842609326\n"
+                      "5 18538750076\n6 19360062527\n7 293553734299\n")
+    argv = [arg.replace("{irreps}", str(irreps)) for arg in case["argv"]]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])

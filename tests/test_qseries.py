@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from moonshine import qseries
+from moonshine import MoonshineError, qseries
 from moonshine.qseries import (
     KRONECKER_MIN_LEN,
     BiLaurentSeries,
@@ -547,3 +547,23 @@ def test_no_floats_anywhere():
         LaurentSeries([1.5])
     with pytest.raises(TypeError):
         BiLaurentSeries({(0, 0): 0.5}, (0, 1, 0, 1))
+
+
+_BLS = BiLaurentSeries({(0, 0): 1, (1, 1): -1}, (0, 2, 0, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: LaurentSeries([1, 2], 0, 5),
+    lambda: LaurentSeries([1, 2]) / 0,
+    lambda: LaurentSeries([1, 2]).truncate(3),
+    lambda: BiLaurentSeries({}, (1, 0, 0, 2)),
+    lambda: BiLaurentSeries({(5, 0): 1}, (0, 2, 0, 2)),
+    lambda: _BLS ** -1,
+    lambda: _BLS.truncated((0, 5, 0, 1)),
+], ids=["window", "divide-by-zero", "extend-window", "empty-rectangle", "outside-rectangle",
+        "negative-power", "not-a-sub-rectangle"])
+def test_refused_arguments_raise_domain_error(call):
+    # A refused argument is a MoonshineError that is still a ValueError.
+    with pytest.raises(MoonshineError) as info:
+        call()
+    assert isinstance(info.value, ValueError)
