@@ -21,8 +21,7 @@ _EXPORTS = {name: module for module, names in {
     "qseries": ("BiLaurentSeries", "LaurentSeries", "RectangleMismatch", "UnknownCoefficient",
                 "ZeroLeadingCoefficient", "coeff_denominator"),
     "modular": ("BudgetExceeded", "ModularFormExpansion", "bernoulli", "discriminant",
-                "eisenstein_normalized", "j_expansion", "j_normalized", "sigma",
-                "weight_space_basis"),
+                "eisenstein_normalized", "j_expansion", "j_normalized", "weight_space_basis"),
     "sl2z": ("IDENTITY", "DegenerateBasis", "LatticeBasis", "Mat2Z", "PSLElement", "S", "T",
              "UpperHalfPoint", "evaluate_word", "in_fundamental_domain", "lattice_same",
              "moebius", "reduce_to_fundamental", "t_power", "tau_equivalent",

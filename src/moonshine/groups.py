@@ -389,11 +389,13 @@ class PermGroup:
         return all(a * b == b * a for a in self.generators for b in self.generators)
 
     def is_simple(self) -> bool:
-        """Whether the group has exactly the two trivial normal subgroups."""
+        """Whether the group has exactly the two trivial normal subgroups,
+        decided by the table's step check (``CayleyTable.factor``) on G/{e};
+        the identity has index 0."""
         t = self._table()
         if len(t.all) == 1:
             raise DomainError("the trivial group is conventionally not simple")
-        return len(t.lattice(t.all)) == 2
+        return t.factor(frozenset({0}), t.all).is_simple
 
     def composition_series(self):
         """A chain [{e}, ..., G] with simple factors, chosen deterministically.

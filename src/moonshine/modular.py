@@ -21,7 +21,7 @@ Eisenstein series, whose Bernoulli number costs O(w^2) Fraction sums.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb
 
 from ._errors import DomainError, MoonshineError
 from ._record import Record, setfield
@@ -56,20 +56,6 @@ class ModularFormExpansion(Record):
         setfield(self, "label", label)
         setfield(self, "weight", weight)
         setfield(self, "series", series)
-
-
-def sigma(k: int, n: int) -> int:
-    """Divisor power sum sigma_k(n) = sum of d^k over divisors d of n."""
-    if n < 1:
-        raise DomainError("sigma is only defined for n >= 1")
-    total = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            total += d**k
-            e = n // d
-            if e != d:
-                total += e**k
-    return total
 
 
 def _sigma_sieve(k: int, order: int) -> list[int]:

@@ -133,11 +133,11 @@ class CoeffTable(Record):
         return self.values[n]
 
     def with_value(self, n: int, value: int) -> "CoeffTable":
-        """A perturbed copy (for negative controls)."""
+        """A perturbed copy (for negative controls), normalized when its c(0) is 0."""
         values = dict(self.values)
         values[n] = value
-        normalized = self.normalized and not (n == 0 and value != 0) and not (n == -1)
-        return CoeffTable(values, f"{self.provenance}, c({n}) overridden", normalized)
+        return CoeffTable(values, f"{self.provenance}, c({n}) overridden",
+                          values.get(0, 0) == 0)
 
 
 class IrrepDims(Record):
@@ -322,25 +322,10 @@ class KnzResult(Record):
         return out
 
 
-def _binomial_factor(m, n, exponent, rect):
-    """(1 - p^m q^n)^exponent expanded inside the rectangle (m >= 1).
-
-    The coefficient of x^j in (1 - x)^e is (-1)^j C(e, j) for e >= 0 and
-    C(-e + j - 1, j) for e < 0.
-    """
-    pmin, pmax, qmin, qmax = rect
-    terms = {}
-    j = 0
-    while True:
-        pe, qe = j * m, j * n
-        if pe > pmax or qe > qmax or qe < qmin:
-            break
-        if exponent >= 0:
-            terms[(pe, qe)] = -math.comb(exponent, j) if j & 1 else math.comb(exponent, j)
-        else:
-            terms[(pe, qe)] = math.comb(j - exponent - 1, j)
-        j += 1
-    return BiLaurentSeries(terms, rect)
+def _binomial_factor(rect):
+    """(1 - p/q)^c(-1), the one factor with a negative q-exponent, on ``rect``:
+    every :class:`CoeffTable` holds c(-1) = 1."""
+    return BiLaurentSeries({(0, 0): 1, (1, -1): -1}, rect)
 
 
 def _knz_rows(width, c):
@@ -387,9 +372,10 @@ def knz_verify(order: int, coeffs: CoeffTable | None = None,
     exponents use c(0) = 0 and c(k) = 0 for k < -1; passing
     ``unnormalized_c0=True`` forces c(0) = 744 instead, which breaks the
     identity (the negative control distinguishing J - 744 from J).  The
-    factors with n >= 0 come as rows in p from :func:`_knz_rows`; the one
-    factor (1 - p/q)^c(-1) is multiplied in afterwards.  Any integer
-    exponents work, so perturbed tables report their mismatches.
+    factors with n >= 0 come as rows in p from :func:`_knz_rows`, for any
+    integer exponents, so perturbed tables report their mismatches.  The one
+    factor with n < 0 is (1 - p/q) itself, multiplied in afterwards: its
+    exponent c(-1) is 1 in every :class:`CoeffTable`.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
@@ -416,7 +402,7 @@ def knz_verify(order: int, coeffs: CoeffTable | None = None,
     rows = _knz_rows(order + 2, c_exp)
     f = BiLaurentSeries({(m, n): v for m, row in enumerate(rows) for n, v in enumerate(row)},
                         work_rect)
-    acc = _binomial_factor(1, -1, c_exp(-1), work_rect) * f
+    acc = _binomial_factor(work_rect) * f
     final_rect = (-1, order, -1, order)
     lhs = acc.truncated((0, order + 1, -1, order)).shifted(-1, 0, rect=final_rect)
 

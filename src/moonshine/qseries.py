@@ -381,44 +381,13 @@ class BiLaurentSeries:
         s.rect = rect
         return s
 
-    @classmethod
-    def constant(cls, value, rect):
-        pmin, pmax, qmin, qmax = rect
-        if pmin <= 0 <= pmax and qmin <= 0 <= qmax and value != 0:
-            return cls({(0, 0): value}, rect)
-        return cls({}, rect)
-
-    @classmethod
-    def one(cls, rect):
-        return cls.constant(1, rect)
-
     def coefficient(self, m, n):
         pmin, pmax, qmin, qmax = self.rect
         if not (pmin <= m <= pmax and qmin <= n <= qmax):
             raise UnknownCoefficient(f"exponent ({m}, {n}) outside rectangle {self.rect}")
         return self.terms.get((m, n), 0)
 
-    def __add__(self, other):
-        if not isinstance(other, BiLaurentSeries):
-            return NotImplemented
-        if other.rect != self.rect:
-            raise RectangleMismatch(f"{self.rect} vs {other.rect}")
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return BiLaurentSeries(out, self.rect)
-
-    def __neg__(self):
-        return BiLaurentSeries({k: -c for k, c in self.terms.items()}, self.rect)
-
-    def __sub__(self, other):
-        if not isinstance(other, BiLaurentSeries):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BiLaurentSeries({k: c * other for k, c in self.terms.items()}, self.rect)
         if not isinstance(other, BiLaurentSeries):
             return NotImplemented
         if other.rect != self.rect:
@@ -444,23 +413,6 @@ class BiLaurentSeries:
         terms = {k: c if type(c) is int else _norm(c) for k, c in out.items() if c}
         return BiLaurentSeries._make(terms, self.rect)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if not isinstance(e, int):
-            raise TypeError("series powers must be integers")
-        if e < 0:
-            raise DomainError("two-variable series only support nonnegative powers")
-        result = BiLaurentSeries.one(self.rect)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
     def shifted(self, dp, dq, rect=None):
         """Multiply by p^dp q^dq, optionally rebasing onto a new rectangle."""
         rect = rect if rect is not None else self.rect
@@ -475,12 +427,6 @@ class BiLaurentSeries:
         kept = {(m, n): c for (m, n), c in self.terms.items()
                 if pmin <= m <= pmax and qmin <= n <= qmax}
         return BiLaurentSeries(kept, rect)
-
-    def transposed(self):
-        """Swap the two variables (rectangle is transposed accordingly)."""
-        pmin, pmax, qmin, qmax = self.rect
-        return BiLaurentSeries({(n, m): c for (m, n), c in self.terms.items()},
-                               (qmin, qmax, pmin, pmax))
 
     def __eq__(self, other):
         if not isinstance(other, BiLaurentSeries):

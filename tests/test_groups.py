@@ -426,6 +426,13 @@ def test_is_simple():
     assert cyclic_group(23).is_simple()
     with pytest.raises(ValueError):
         cyclic_group(1).is_simple()
+    # the table's step check agrees with counting the normal lattice
+    families = [cyclic_group(n) for n in range(2, 201)]
+    families += [dihedral_group(n) for n in range(3, 101)]
+    families += [alternating_group(n) for n in range(3, 7)]
+    families += [symmetric_group(n) for n in range(2, 6)]
+    for g in families:
+        assert g.is_simple() == (len(g.normal_subgroups()) == 2), g.name
 
 
 def test_composition_series_examples():

@@ -141,6 +141,8 @@ def test_keywords_and_defaults():
      "^coefficient table must cover a contiguous range from -1$"),
     (lambda: monster.CoeffTable({-1: 2, 0: 0}, "t"), monster.DataFormatError,
      r"^c\(-1\) must be 1$"),
+    pytest.param(lambda: monster.CoeffTable({-1: 1, 0: 0}, "t").with_value(-1, 2),
+                 monster.DataFormatError, r"^c\(-1\) must be 1$", id="with-value-c(-1)"),
     (lambda: monster.CoeffTable({-1: 1, 0: 744}, "t"), monster.DataFormatError,
      r"^normalized table must have c\(0\) = 0$"),
     (lambda: monster.IrrepDims(()), monster.DataFormatError, "^no dimensions$"),
@@ -161,3 +163,13 @@ def test_validation_errors(build, error, message):
 def test_unnormalized_table_admits_c0():
     table = monster.CoeffTable({-1: 1, 0: 744}, "t", normalized=False)
     assert table.c(0) == 744 and not table.normalized
+
+
+@pytest.mark.parametrize("perturb, normalized", [
+    (lambda t: t.with_value(-1, 1), True),
+    (lambda t: t.with_value(0, 744), False),
+    (lambda t: t.with_value(0, 744).with_value(0, 0), True),
+], ids=["c(-1)-kept", "c(0)-set", "c(0)-restored"])
+def test_with_value_normalized_follows_c0(perturb, normalized):
+    table = perturb(monster.CoeffTable({-1: 1, 0: 0, 1: 196884}, "t"))
+    assert table.normalized is normalized
