@@ -163,17 +163,19 @@ class CayleyTable:
         """The descriptor of s/sub, or None unless ``sub`` is a normal
         subgroup of the subgroup ``s``; each pair is checked once.
 
-        s/sub is simple when it is not trivial and its order is prime or
-        every conjugacy class of s outside ``sub`` generates s together with
-        ``sub``, that is, when no element has a smaller normal closure.
+        An abelian s/sub is simple exactly when its order is prime.  A
+        non-abelian one is simple when every conjugacy class of s outside
+        ``sub`` generates s together with ``sub``, that is, when no element
+        has a smaller normal closure.
         """
         key = (sub, s)
         if key not in self._factors:
             desc = None
             if sub <= s and self.is_normal_in(sub, s):
                 order = len(s) // len(sub)
-                simple = order > 1 and (_is_prime(order) or self._classes_generate(sub, s))
-                desc = FactorDescriptor(order, self.is_abelian_over(s, sub), simple)
+                abelian = self.is_abelian_over(s, sub)
+                simple = _is_prime(order) if abelian else self._classes_generate(sub, s)
+                desc = FactorDescriptor(order, abelian, simple)
             self._factors[key] = desc
         return self._factors[key]
 

@@ -9,7 +9,9 @@ edges and the unit arc.
 
 Reduction is Gauss-Lagrange reduction of the integer binary quadratic form
 whose root is tau (H. Cohen, A Course in Computational Algebraic Number
-Theory, section 5.4); words are decomposed and evaluated on integer entries.
+Theory, section 5.4).  Equivalence compares the two reduced forms on
+integers: the unit arc's Re > 0 half is b < 0, c == a.  Words are decomposed
+and evaluated on integer entries.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ class Mat2Z(Record):
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int):
+        if not type(a) is type(b) is type(c) is type(d) is int:
+            raise DomainError("entries must be integers")
         if a * d - b * c != 1:
             raise DomainError("determinant must be 1")
         setfield(self, "a", a)
@@ -104,6 +108,14 @@ class UpperHalfPoint(Record):
         setfield(self, "x", x)
         setfield(self, "y", y)
 
+    @classmethod
+    def _make(cls, x: Fraction, y: Fraction) -> "UpperHalfPoint":
+        """A point from Fractions x and y > 0, unchecked."""
+        tau = cls.__new__(cls)
+        setfield(tau, "x", x)
+        setfield(tau, "y", y)
+        return tau
+
     def norm_sq(self) -> Fraction:
         return self.x * self.x + self.y * self.y
 
@@ -165,17 +177,18 @@ def word_to_str(word) -> str:
     return " ".join(parts)
 
 
-def reduce_to_fundamental(tau: UpperHalfPoint):
-    """Reduce tau into the fundamental domain.
+def _reduce(tau: UpperHalfPoint):
+    """Gauss-Lagrange reduction of tau's form, on ints.
 
-    Returns (tau*, M, word) with |tau*| >= 1, -1/2 <= Re(tau*) < 1/2,
-    moebius(M, tau) == tau* and evaluate_word(word) == M.  With n the common
-    denominator of x and y, tau is the root of the form (a, b, c) =
-    n^2 * (1, -2x, x^2 + y^2): Re(tau) = -b/2a and |tau|^2 = c/a.  T^-k with
-    k = floor(Re(tau) + 1/2) = (a - b) // 2a maps it to (a, b + 2ak,
-    c + bk + ak^2), and while c < a, S maps it to (c, -b, a).  Each S step
-    lowers the positive integer a, so the loop ends.  The discriminant
-    -(2ny)^2 is invariant, so Im(tau*) = n^2 * y / a.
+    With n the common denominator of x and y, tau is the root of the form
+    (a, b, c) = n^2 * (1, -2x, x^2 + y^2): Re(tau) = -b/2a and
+    |tau|^2 = c/a.  T^-k with k = floor(Re(tau) + 1/2) = (a - b) // 2a maps
+    it to (a, b + 2ak, c + bk + ak^2), and while c < a, S maps it to
+    (c, -b, a).  Each S step lowers the positive integer a, so the loop
+    ends.  The discriminant -(2ny)^2 is invariant, so the reduced point is
+    (-b/2a, h/a) with h = n^2 * y.  Returns the reduced form, h, the matrix
+    entries and the moves in the order applied: (a, b, c, h, ma, mb, mc, md,
+    moves).
     """
     x, y = tau.x, tau.y
     n = math.lcm(x.denominator, y.denominator)
@@ -194,24 +207,37 @@ def reduce_to_fundamental(tau: UpperHalfPoint):
         a, b, c = c, -b, a
         ma, mb, mc, md = -mc, -md, ma, mb
         applied.append(("S", 1))
-    star = UpperHalfPoint(Fraction(-b, 2 * a), Fraction(v * n, a))
+    return a, b, c, v * n, ma, mb, mc, md, applied
+
+
+def reduce_to_fundamental(tau: UpperHalfPoint):
+    """Reduce tau into the fundamental domain.
+
+    Returns (tau*, M, word) with |tau*| >= 1, -1/2 <= Re(tau*) < 1/2,
+    moebius(M, tau) == tau* and evaluate_word(word) == M.
+    """
+    a, b, _, h, ma, mb, mc, md, applied = _reduce(tau)
+    star = UpperHalfPoint._make(Fraction(-b, 2 * a), Fraction(h, a))
     return star, PSLElement(Mat2Z(ma, mb, mc, md)), tuple(reversed(applied))
 
 
 def tau_equivalent(tau1: UpperHalfPoint, tau2: UpperHalfPoint):
     """A matrix M with M.tau1 == tau2 if the points share an orbit, else None.
 
-    Reduction never returns Re = 1/2, so the one boundary identification
-    left moves a reduced point on the unit arc with Re > 0 to (-x, y) by S.
+    Equivalence compares the reduced forms on integers.  Reduction never
+    returns Re = 1/2, so the one boundary identification left is S on the
+    unit arc's Re > 0 half, the forms with b < 0 and c == a; it maps b to -b.
+    As a > 0, the points (-b/2a, h/a) are equal exactly when b1*a2 == b2*a1
+    and h1*a2 == h2*a1, and then M = M2^-1 M1, M2^-1 = (s2 -q2; -r2 p2).
     """
     ends = []
     for tau in (tau1, tau2):
-        star, m, _ = reduce_to_fundamental(tau)
-        if star.x > 0 and star.norm_sq() == 1:
-            star, m = UpperHalfPoint(-star.x, star.y), S * m
-        ends.append((star, m))
-    (t1, m1), (t2, m2) = ends
-    return m2.inverse() * m1 if t1 == t2 else None
+        a, b, c, h, p, q, r, s, _ = _reduce(tau)
+        ends.append((a, -b, h, -r, -s, p, q) if b < 0 and c == a else (a, b, h, p, q, r, s))
+    (a1, b1, h1, p, q, r, s), (a2, b2, h2, p2, q2, r2, s2) = ends
+    if b1 * a2 != b2 * a1 or h1 * a2 != h2 * a1:
+        return None
+    return PSLElement(Mat2Z(s2 * p - q2 * r, s2 * q - q2 * s, p2 * r - r2 * p, p2 * s - r2 * q))
 
 
 def word_decompose(elem: PSLElement):

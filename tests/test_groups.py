@@ -435,6 +435,20 @@ def test_is_simple():
         assert g.is_simple() == (len(g.normal_subgroups()) == 2), g.name
 
 
+def test_is_simple_abelian_needs_no_class_walk(monkeypatch):
+    from moonshine._cayley import CayleyTable
+
+    def refuse(self, sub, s):
+        raise AssertionError("an abelian quotient walked its conjugacy classes")
+
+    monkeypatch.setattr(CayleyTable, "_classes_generate", refuse)
+    for n in (4, 6, 12, 49, 360, 4000):
+        assert not cyclic_group(n).is_simple()
+    assert cyclic_group(4001).is_simple()
+    d6 = dihedral_group(6)
+    assert [d.is_simple for d in d6.factor_descriptors(d6.composition_series())] == [True] * 3
+
+
 def test_composition_series_examples():
     c12 = cyclic_group(12)
     chain = c12.composition_series()

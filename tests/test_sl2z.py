@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from moonshine import sl2z
 from moonshine.sl2z import (
     IDENTITY,
     DegenerateBasis,
@@ -37,6 +38,10 @@ def test_mat2z_determinant_enforced():
         Mat2Z(1, 1, 1, 0)
     with pytest.raises(ValueError):
         Mat2Z(2, 0, 0, 2)
+    # determinant 1, but not integer entries
+    for entries in ((F(1, 2), 0, 0, 2), (0.5, 0, 0, 2.0), (F(1), 0, 0, 1), (1, 0, 0, True)):
+        with pytest.raises(ValueError, match="^entries must be integers$"):
+            Mat2Z(*entries)
 
 
 def test_psl_canonical_sign():
@@ -294,6 +299,14 @@ def _deep_point(rng):
                           F(rng.randint(1, b), rng.randint(1, b) * b))
 
 
+def _deep_element(rng):
+    """As the benchmark's deep matrices: 12 to 18 steps T^k S, |k| <= 99."""
+    m = IDENTITY
+    for _ in range(rng.randint(12, 18)):
+        m = m * t_power(rng.randint(2, 99) * rng.choice((-1, 1))) * S
+    return m
+
+
 ARC = [UpperHalfPoint(F(x, r), F(y, r)) for x, y, r in
        ((3, 4, 5), (-3, 4, 5), (7, 24, 25), (-7, 24, 25), (5, 12, 13), (-5, 12, 13),
         (8, 15, 17), (-8, 15, 17), (12, 35, 37), (-12, 35, 37), (0, 1, 1))]
@@ -338,11 +351,51 @@ def test_tau_equivalent_matches_fraction_oracle():
             image = moebius(_random_element(rng, 20), tau)
             same_orbit += [(image, tau), (tau, image)]
             pairs.append((image, UpperHalfPoint(-tau.x, tau.y)))
+    # Deep images of the arc points with their mirrors: the images of the
+    # Re < 0 points reduce to the arc's Re > 0 half (b < 0, c == a) with
+    # 10^20-size forms.
+    deep_arc = 0
+    for tau in ARC[:-1]:
+        mirror = UpperHalfPoint(-tau.x, tau.y)
+        for _ in range(4):
+            image = moebius(_deep_element(rng), tau)
+            a, b, c = sl2z._reduce(image)[:3]
+            deep_arc += b < 0 and c == a and a > 10 ** 20
+            same_orbit += [(image, mirror), (mirror, image),
+                           (image, moebius(_deep_element(rng), mirror))]
+    assert deep_arc >= 12
     for k, (tau1, tau2) in enumerate(pairs + same_orbit):
         m = tau_equivalent(tau1, tau2)
         assert m == _equivalent_oracle(tau1, tau2)
         assert m is None or moebius(m, tau1) == tau2
         assert m is not None or k < len(pairs)
+
+
+def test_tau_equivalent_builds_no_fraction(monkeypatch):
+    rng = random.Random(31)
+    pairs = [(p, q) for p in ARC for q in ARC] + [(ARC_IMAGE, ARC[5])]
+    pairs += [(_deep_point(rng), _deep_point(rng)) for _ in range(10)]
+    pairs += [(moebius(_deep_element(rng), tau), tau) for tau in ARC + EDGES]
+    expected = [tau_equivalent(p, q) for p, q in pairs]
+    built = []
+    monkeypatch.setattr(sl2z, "Fraction", lambda *args: built.append(args) or Fraction(*args))
+    assert [tau_equivalent(p, q) for p, q in pairs] == expected
+    assert built == []
+    reduce_to_fundamental(ARC_IMAGE)
+    assert len(built) == 2
+
+
+def test_reduced_point_is_canonical():
+    rng = random.Random(8)
+    points = ARC + EDGES + [ARC_IMAGE] + [_deep_point(rng) for _ in range(30)]
+    points += [_random_point(rng) for _ in range(30)]
+    for tau in points:
+        star = reduce_to_fundamental(tau)[0]
+        assert type(star.x) is Fraction and type(star.y) is Fraction
+        for q in (star.x, star.y):
+            assert q.denominator > 0 and math.gcd(q.numerator, q.denominator) == 1
+        rebuilt = UpperHalfPoint(star.x, star.y)
+        assert star == rebuilt and hash(star) == hash(rebuilt) and repr(star) == repr(rebuilt)
 
 
 def test_word_decompose_matches_fraction_oracle():
