@@ -6,7 +6,10 @@ sorted index sets order like the element sets they stand for.  The table
 is filled by breadth-first search over left multiplication by the
 generators, whose maps come from the group's closure: it takes no ``Perm``
 products, and every row other than the identity's is its BFS parent's row
-mapped through one generator's map.  Subgroups grow coset by coset
+mapped through one generator's map.  Up to ``BYTE_LIMIT`` = 256 elements
+a row is ``bytes`` and that map is one ``bytes.translate`` call; past it a
+row is a tuple gathered from the map.  256 is the size of a translate
+table: every index must fit in one byte.  Subgroups grow coset by coset
 (Dimino's algorithm), and two normal subgroups join as their product set
 AB.  The lattice takes one normal closure per cyclic subgroup, not per
 conjugacy class: x^j generates <x> when j is prime to the order of x, so
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .groups import FactorDescriptor, NotASubgroup, _orbits, _take
+from .groups import BYTE_LIMIT, FactorDescriptor, NotASubgroup, _orbits, _take
 
 
 def _is_prime(n):
@@ -42,12 +45,25 @@ def _divisors(n):
     return sorted(out)
 
 
+def _byte_map(m):
+    """The ``bytes.translate`` table of the index map ``m``."""
+    return bytes(m).ljust(BYTE_LIMIT, b"\0")
+
+
+def _gather(row, m):
+    """The index map ``m`` after ``row``: ``m[row[i]]`` for each i."""
+    return _take(m, row)
+
+
 class CayleyTable:
     """Cayley table of a finite group, on integer indices.
 
     ``elems[i]`` is the i-th element in sorted ``Perm`` order,
     ``mul[x][y]`` indexes ``elems[x] * elems[y]`` and ``inv[x]`` indexes
-    the inverse of ``elems[x]``.  Subgroups are frozensets of indices.
+    the inverse of ``elems[x]``.  The rows ``mul[x]`` and ``inv`` are
+    ``bytes`` up to BYTE_LIMIT = 256 elements, where every index fits a byte
+    and ``bytes.translate`` composes them, and tuples past it.  Subgroups
+    are frozensets of indices.
     """
 
     def __init__(self, elements, elems, index, left):
@@ -55,8 +71,16 @@ class CayleyTable:
         ``left[s][x]`` indexing ``elems[s] * elems[x]`` for each generator s."""
         n = len(elems)
         gens = sorted(left)
+        # Rows are bytes, mapped through a generator's table, up to
+        # BYTE_LIMIT elements, and tuples, gathered from its map, past it.
+        if n <= BYTE_LIMIT:
+            kind, as_map, compose = bytes, _byte_map, bytes.translate
+        else:
+            kind, as_map, compose = tuple, tuple, _gather
+        self._map, self._compose = as_map, compose
         mul = [None] * n
-        mul[0] = tuple(range(n))
+        mul[0] = kind(range(n))
+        maps = {s: as_map(left[s]) for s in gens}
         tree = []
         queue = [0]
         for x in queue:
@@ -64,14 +88,14 @@ class CayleyTable:
                 y = left[s][x]
                 if mul[y] is None:
                     # (s x) y = s (x y): the row of s x is the row of x mapped by s.
-                    mul[y] = _take(left[s], mul[x])
+                    mul[y] = compose(mul[x], maps[s])
                     tree.append((y, x, s))
                     queue.append(y)
         gen_inv = {s: left[s].index(0) for s in gens}
         inv = [0] * n
         for y, x, s in tree:
             inv[y] = mul[inv[x]][gen_inv[s]]  # (s x)^-1 = x^-1 s^-1
-        self.elems, self.index, self.mul, self.inv = elems, index, mul, inv
+        self.elems, self.index, self.mul, self.inv = elems, index, mul, kind(inv)
         self.all = frozenset(range(n))
         self._gens = {self.all: tuple(gens)}
         self._orders = {}
@@ -140,9 +164,14 @@ class CayleyTable:
 
     def classes(self, seeds, gens):
         """Orbits under conjugation by ``gens`` of the elements ``seeds``."""
-        mul, inv = self.mul, self.inv
-        # g y g^-1 = g (g y^-1)^-1, as a map on all indices at C speed
-        return _orbits(seeds, [_take(mul[g], _take(inv, _take(mul[g], inv))) for g in gens])
+        compose, inv = self._compose, self.inv
+        inv_map = self._map(inv)
+        conj = []
+        for g in gens:
+            # g y g^-1 = g (g y^-1)^-1, as a map on all indices at C speed
+            row = self._map(self.mul[g])
+            conj.append(compose(compose(compose(inv, row), inv_map), row))
+        return _orbits(seeds, conj)
 
     def is_normal_in(self, sub, s):
         """Whether ``sub`` is stable under conjugation by the generators of ``s``."""

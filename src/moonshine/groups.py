@@ -3,10 +3,13 @@ quotients, composition series and Jordan-Hoelder factor multisets.
 
 Elements are enumerated once, by breadth-first closure under the
 generators, which also records each generator's right and left
-multiplication maps on integer indices.  The closure composes image tuples
-through one getter per generator, and only ``is_abelian`` calls
-``Perm.__mul__``.  Conjugacy classes are orbits read off the maps, so
-groups too large for a table (S8) still answer them.
+multiplication maps on integer indices.  Up to ``BYTE_LIMIT`` = 256 points
+the closure keeps images as ``bytes`` and composes them with
+``bytes.translate``, one C call per product; past it, it composes image
+tuples through one getter per generator.  The limit is the size of a
+translate table, since every point must fit in one byte.  Only
+``is_abelian`` calls ``Perm.__mul__``.  Conjugacy classes are orbits read
+off the maps, so groups too large for a table (S8) still answer them.
 Normality, quotients, normal subgroups, simplicity, composition series and
 their factors run over a Cayley table that each group builds on first use
 from its left maps (:mod:`moonshine._cayley`).  Public methods still take
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
-from operator import ge, gt, itemgetter, le, lt, mul
+from operator import ge, gt, itemgetter, le, lt, methodcaller, mul
 
 from ._errors import DomainError, MoonshineError
 from ._record import Record, compare, setfield
@@ -65,6 +68,10 @@ CLOSURE_LIMIT = 2 ** 24
 # Cayley table entries, order^2: S7 (25.4M) and D2896 (33.5M) fit, A8 (406M)
 # does not.
 TABLE_LIMIT = 2 ** 25
+# bytes.translate maps every byte through one 256-entry table, so an index
+# map on at most 256 points (closure images) or elements (Cayley rows) is
+# ``bytes`` and two of them compose in one C call.  Fixed by the table size.
+BYTE_LIMIT = 256
 
 
 class Perm:
@@ -220,44 +227,66 @@ def _enumerate(gens, degree):
     """The frozenset of elements of <gens>, by breadth-first closure, and
     ``(elems, index, right, left)``: the elements in sorted ``Perm`` order,
     the index of each, and per non-identity generator s (keyed by index) the
-    maps ``right[s][x]`` and ``left[s][x]``, indexing x * s and s * x.  The
-    search composes x * g as images, through one getter per generator, and
-    calls no ``Perm.__mul__``; the left maps follow the search tree, as
-    x = p * t gives s * x = (s * p) * t.
+    maps ``right[s][x]`` and ``left[s][x]``, indexing x * s and s * x.
+
+    Up to BYTE_LIMIT points the search runs on image ``bytes``, keyed by
+    them: g * x is x's bytes translated through g's table, and each ``Perm``
+    is built once, after the search.  Past it the search keys ``Perm``
+    objects, which keep the hash of their long image tuples, and composes
+    x * g through one getter per generator.  No ``Perm.__mul__`` runs, and
+    the maps of the other side follow the search tree: x = t * p gives
+    x * s = t * (p * s), and x = p * t gives s * x = (s * p) * t.
     Raises CapExceeded once the group passes its :func:`_budget`.
     """
     bound, message = _budget(degree)
     ident = Perm.identity(degree)
     gens = list(dict.fromkeys(g for g in gens if g != ident))
-    found, seen = [ident], {ident: 0}  # in search order: found[j + 1] is gens[j]
-    right = [[] for _ in gens]
-    tree = []  # found[i] = found[p] * gens[j] for (p, j) = tree[i - 1]
-    # (x * g)(i) = x(g(i)): one getter per generator composes every product.
-    gets = [itemgetter(*g.images) for g in gens]
+    on_left = degree <= BYTE_LIMIT
+    if on_left:
+        # (g * x)(i) = g(x(i)): each image byte mapped through g's table.
+        start = bytes(range(degree))
+        steps = [methodcaller("translate", bytes.maketrans(start, bytes(g.images)))
+                 for g in gens]
+    else:
+        # (x * g)(i) = x(g(i)): one getter per generator.  A Perm keeps its
+        # hash; hashing a long image tuple again costs half a product.
+        start = ident
+        steps = [lambda x, get=itemgetter(*g.images): Perm._raw(get(x.images))
+                 for g in gens]
+    found, seen = [start], {start: 0}  # in search order: found[j + 1] is gens[j]
+    searched = [[] for _ in gens]
+    tree = []  # found[i] = steps[j](found[p]) for (p, j) = tree[i - 1]
     for i, x in enumerate(found):
-        for j, get in enumerate(gets):
-            y = Perm._raw(get(x.images))
-            k = seen.get(y)
-            if k is None:
-                if len(found) >= bound:
+        for j, step in enumerate(steps):
+            y = step(x)
+            k = seen.setdefault(y, len(found))
+            if k == len(found):
+                if k >= bound:
                     raise CapExceeded(message)
-                k = seen[y] = len(found)
                 found.append(y)
                 tree.append((i, j))
-            right[j].append(k)
-    left = [[r[0]] for r in right]
-    for lg in left:
+            searched[j].append(k)
+    derived = [[m[0]] for m in searched]
+    for d in derived:
         for p, j in tree:
-            lg.append(right[j][lg[p]])
-    # Relabel from search order to sorted order.
-    order = sorted(range(len(found)), key=[p.images for p in found].__getitem__)
+            d.append(searched[j][d[p]])
+    if on_left:
+        right, left, images = derived, searched, found
+    else:
+        right, left, images = searched, derived, [p.images for p in found]
+    # Relabel from search order to sorted order; bytes of values below 256
+    # sort like tuples of them.
+    order = sorted(range(len(found)), key=images.__getitem__)
     pos = sorted(range(len(found)), key=order.__getitem__)
     elems = [found[i] for i in order]
+    if on_left:
+        elems = [Perm._raw(tuple(x)) for x in elems]
     keys = [pos[j + 1] for j in range(len(gens))]
 
     def relabel(maps):
         return {s: _take(pos, _take(m, order)) for s, m in zip(keys, maps)}
-    return frozenset(seen), (elems, dict(zip(found, pos)), relabel(right), relabel(left))
+    index = dict(zip(elems, range(len(elems))))
+    return frozenset(index), (elems, index, relabel(right), relabel(left))
 
 
 class ConjClass(Record):
@@ -352,8 +381,12 @@ class PermGroup:
         if self._classes is None:
             _ = self.elements
             elems, _, right, left = self._maps
-            conj = [_take(sorted(range(len(r)), key=r.__getitem__), left[s])
-                    for s, r in right.items()]
+            if len(elems) <= BYTE_LIMIT:
+                # The table taking x g to g x, so y to g y g^-1.
+                conj = [bytes.maketrans(bytes(r), bytes(left[s])) for s, r in right.items()]
+            else:
+                conj = [_take(sorted(range(len(r)), key=r.__getitem__), left[s])
+                        for s, r in right.items()]
             self._classes = [ConjClass(elems[min(o)], frozenset(_take(elems, tuple(o))))
                              for o in _orbits(range(len(elems)), conj)]
         return self._classes

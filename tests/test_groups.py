@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from moonshine import groups
 from moonshine.groups import (
     CapExceeded,
     ClassMismatch,
@@ -24,7 +25,7 @@ from moonshine.groups import (
     symmetric_group,
     trivial_character,
 )
-from moonshine.groups import _enumerate
+from moonshine.groups import BYTE_LIMIT, _enumerate
 
 
 
@@ -605,7 +606,7 @@ def test_cayley_table_axioms():
         assert elems is t.elems and index is t.index
         assert sorted(right) == sorted(left) == sorted({index[p] for p in g.generators})
         for s in right:
-            assert t.mul[s] == tuple(left[s])
+            assert tuple(t.mul[s]) == tuple(left[s])
             for x in range(n):
                 assert elems[right[s][x]] == elems[x] * elems[s]
                 assert elems[left[s][x]] == elems[s] * elems[x]
@@ -618,9 +619,9 @@ def test_cayley_table_axioms():
 
 
 def test_one_enumeration_per_group(monkeypatch):
-    # Each group enumerates once, and its closure composes image tuples:
-    # elements, classes, the table, the lattice and normality call no
-    # Perm.__mul__ at all.
+    # Each group enumerates once, and its closure composes images (bytes
+    # up to BYTE_LIMIT points, tuples past it): elements, classes, the
+    # table, the lattice and normality call no Perm.__mul__ at all.
     enumerations, products = [], 0
     mul = Perm.__mul__
 
@@ -691,6 +692,53 @@ def test_index_core_matches_perm_oracle():
         assert g.normal_subgroups() == lattice, g.name
         if g.order > 1:
             assert g.is_simple() == (len(lattice) == 2), g.name
+
+
+def _s3_on_last_points(degree):
+    """S3 on the last three of ``degree`` points, an order-6 group."""
+    a, b, c = degree - 3, degree - 2, degree - 1
+    return PermGroup(degree, [Perm.from_cycles(degree, (a, b)),
+                              Perm.from_cycles(degree, (a, b, c))], name=f"S3/{degree}")
+
+
+# Both sides of BYTE_LIMIT = 256, by degree (the closure's images) and by
+# order (the table's rows): C255 and C256 are bytes throughout, C257 tuples
+# throughout; D128 (order 256) and D129 (order 258) have a bytes closure
+# and a bytes or a tuple table; A6 (order 360) has a bytes closure and a
+# tuple table, and S3 on 257 points the other way round.
+@pytest.mark.parametrize("build", [
+    lambda: cyclic_group(255), lambda: cyclic_group(256), lambda: cyclic_group(257),
+    lambda: dihedral_group(128), lambda: dihedral_group(129), lambda: alternating_group(6),
+    lambda: _s3_on_last_points(257)],
+    ids=["C255", "C256", "C257", "D128", "D129", "A6", "S3-on-257"])
+def test_byte_limit_boundary_matches_perm_oracle(monkeypatch, build):
+    g = build()
+    steps = []
+    methodcaller = groups.methodcaller
+    monkeypatch.setattr(groups, "methodcaller",
+                        lambda *args: steps.append(args[0]) or methodcaller(*args))
+    elements = g.elements
+    assert bool(steps) == (g.degree <= BYTE_LIMIT), g.name
+    t = g._table()
+    assert type(t.mul[0]) is (bytes if g.order <= BYTE_LIMIT else tuple), g.name
+    rng = random.Random(g.order)
+    for _ in range(300):
+        x, y = rng.randrange(g.order), rng.randrange(g.order)
+        assert t.elems[t.mul[x][y]] == t.elems[x] * t.elems[y], g.name
+    assert elements == _closure(g.generators, g.degree), g.name
+    assert [(c.representative, c.members) for c in g.conjugacy_classes()] == [
+        (min(s), s) for s in _conj_classes_of(elements, g.generators)], g.name
+    lattice = _oracle_lattice(elements)
+    assert g.normal_subgroups() == lattice, g.name
+    assert g.composition_series() == _oracle_series(g), g.name
+    chains = g.all_composition_series()
+    assert chains == _oracle_all_series(elements, {}), g.name
+    for chain in chains:
+        assert g.factor_descriptors(chain) == _oracle_descriptors(chain), g.name
+    for normal in lattice:
+        q = g.quotient_group(normal)
+        oracle = _oracle_quotient(elements, normal, g.generators)
+        assert (q.degree, q.generators) == (oracle.degree, oracle.generators), g.name
 
 
 def test_validate_chain_rejects_bad_chains():

@@ -4,6 +4,7 @@ against independent oracle routes; all values exact.
 Oracles: Delta = (E4^3 - E6^2)/1728 from Eisenstein series, and J as
 E4^3 * q^-1 * prod (1 - q^n)^-24 and as E4^3 * inverse(Delta / q)."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,66 @@ def test_euler_terms_match_dense_product():
 def test_eta_product_small_orders():
     for order in range(2, 40):
         assert discriminant(order).series == _delta_eisenstein(order)
+
+
+def _tau_failures(tau):
+    """Where the list ``tau`` (tau[n] for 1 <= n < len(tau)) breaks each of
+    three facts about Ramanujan's tau, as three lists of n:
+
+    - Hecke: tau(mn) = tau(m) tau(n) for coprime m, n, and
+      tau(p^(k+1)) = tau(p) tau(p^k) - p^11 tau(p^(k-1)), at each composite n;
+    - Ramanujan: tau(n) = sigma_11(n) mod 691, at each n, with the divisor
+      sums taken here;
+    - Deligne: tau(p)^2 <= 4 p^11, at each prime p.
+    """
+    limit = len(tau)
+    least = list(range(limit))  # least prime factor
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if least[p] == p:
+            for m in range(p * p, limit, p):
+                least[m] = min(least[m], p)
+    hecke, deligne = [], []
+    for n in range(2, limit):
+        p = least[n]
+        if p == n:
+            if tau[p] ** 2 > 4 * p**11:
+                deligne.append(n)
+            continue
+        rest, power = n, 1
+        while rest % p == 0:
+            rest, power = rest // p, power * p
+        if rest > 1:
+            expected = tau[power] * tau[rest]
+        else:
+            expected = tau[p] * tau[n // p] - p**11 * tau[n // (p * p)]
+        if tau[n] != expected:
+            hecke.append(n)
+    sigma = [0] * limit  # sigma_11(n) mod 691
+    for d in range(1, limit):
+        dk = pow(d, 11, 691)
+        for m in range(d, limit, d):
+            sigma[m] += dk
+    ramanujan = [n for n in range(1, limit) if (tau[n] - sigma[n]) % 691]
+    return hecke, ramanujan, deligne
+
+
+def test_discriminant_at_the_series_limit():
+    # Delta to SERIES_ORDER_LIMIT against facts independent of its route
+    delta = discriminant(modular.SERIES_ORDER_LIMIT).series
+    assert delta.valuation == 1 and delta.trunc == modular.SERIES_ORDER_LIMIT
+    tau = [0, *delta.coeffs]
+    assert len(tau) == modular.SERIES_ORDER_LIMIT
+    assert tau[:7] == [0, 1, -24, 252, -1472, 4830, -6048]
+    assert _tau_failures(tau) == ([], [], [])
+    # Negative control: tau(6) off by one breaks tau(6) = tau(2) tau(3) and
+    # the congruence at 6 (every other n splits off its least prime power).
+    bent = tau.copy()
+    bent[6] += 1
+    assert _tau_failures(bent) == ([6], [6], [])
+    # and tau(13) just past Deligne's bound is caught there
+    bent = tau.copy()
+    bent[13] = math.isqrt(4 * 13**11) + 1
+    assert _tau_failures(bent)[2] == [13]
 
 
 def test_j_expansion_one_product_no_eisenstein(monkeypatch):
