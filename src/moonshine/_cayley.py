@@ -45,24 +45,14 @@ def _divisors(n):
     return sorted(out)
 
 
-def _byte_map(m):
-    """The ``bytes.translate`` table of the index map ``m``."""
-    return bytes(m).ljust(BYTE_LIMIT, b"\0")
-
-
-def _gather(row, m):
-    """The index map ``m`` after ``row``: ``m[row[i]]`` for each i."""
-    return _take(m, row)
-
-
 class CayleyTable:
     """Cayley table of a finite group, on integer indices.
 
     ``elems[i]`` is the i-th element in sorted ``Perm`` order,
     ``mul[x][y]`` indexes ``elems[x] * elems[y]`` and ``inv[x]`` indexes
-    the inverse of ``elems[x]``.  The rows ``mul[x]`` and ``inv`` are
-    ``bytes`` up to BYTE_LIMIT = 256 elements, where every index fits a byte
-    and ``bytes.translate`` composes them, and tuples past it.  Subgroups
+    the inverse of ``elems[x]``.  The rows ``mul[x]`` are ``bytes`` up to
+    BYTE_LIMIT = 256 elements, where every index fits a byte and one
+    ``bytes.translate`` call builds each, and tuples past it.  Subgroups
     are frozensets of indices.
     """
 
@@ -71,16 +61,12 @@ class CayleyTable:
         ``left[s][x]`` indexing ``elems[s] * elems[x]`` for each generator s."""
         n = len(elems)
         gens = sorted(left)
-        # Rows are bytes, mapped through a generator's table, up to
-        # BYTE_LIMIT elements, and tuples, gathered from its map, past it.
-        if n <= BYTE_LIMIT:
-            kind, as_map, compose = bytes, _byte_map, bytes.translate
-        else:
-            kind, as_map, compose = tuple, tuple, _gather
-        self._map, self._compose = as_map, compose
+        # Up to BYTE_LIMIT elements a row is bytes, translated through the
+        # generator's left map padded to a 256-byte table; past it a tuple.
+        as_bytes = n <= BYTE_LIMIT
         mul = [None] * n
-        mul[0] = kind(range(n))
-        maps = {s: as_map(left[s]) for s in gens}
+        mul[0] = bytes(range(n)) if as_bytes else tuple(range(n))
+        maps = {s: bytes(left[s]).ljust(BYTE_LIMIT, b"\0") for s in gens} if as_bytes else None
         tree = []
         queue = [0]
         for x in queue:
@@ -88,14 +74,14 @@ class CayleyTable:
                 y = left[s][x]
                 if mul[y] is None:
                     # (s x) y = s (x y): the row of s x is the row of x mapped by s.
-                    mul[y] = compose(mul[x], maps[s])
+                    mul[y] = mul[x].translate(maps[s]) if as_bytes else _take(left[s], mul[x])
                     tree.append((y, x, s))
                     queue.append(y)
         gen_inv = {s: left[s].index(0) for s in gens}
         inv = [0] * n
         for y, x, s in tree:
             inv[y] = mul[inv[x]][gen_inv[s]]  # (s x)^-1 = x^-1 s^-1
-        self.elems, self.index, self.mul, self.inv = elems, index, mul, kind(inv)
+        self.elems, self.index, self.mul, self.inv = elems, index, mul, inv
         self.all = frozenset(range(n))
         self._gens = {self.all: tuple(gens)}
         self._orders = {}
@@ -164,14 +150,9 @@ class CayleyTable:
 
     def classes(self, seeds, gens):
         """Orbits under conjugation by ``gens`` of the elements ``seeds``."""
-        compose, inv = self._compose, self.inv
-        inv_map = self._map(inv)
-        conj = []
-        for g in gens:
-            # g y g^-1 = g (g y^-1)^-1, as a map on all indices at C speed
-            row = self._map(self.mul[g])
-            conj.append(compose(compose(compose(inv, row), inv_map), row))
-        return _orbits(seeds, conj)
+        mul, inv = self.mul, self.inv
+        # g y g^-1 = g (g y^-1)^-1, as a map on all indices at C speed
+        return _orbits(seeds, [_take(mul[g], _take(inv, _take(mul[g], inv))) for g in gens])
 
     def is_normal_in(self, sub, s):
         """Whether ``sub`` is stable under conjugation by the generators of ``s``."""

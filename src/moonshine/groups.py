@@ -251,14 +251,13 @@ def _enumerate(gens, degree):
         # (x * g)(i) = x(g(i)): one getter per generator.  A Perm keeps its
         # hash; hashing a long image tuple again costs half a product.
         start = ident
-        steps = [lambda x, get=itemgetter(*g.images): Perm._raw(get(x.images))
-                 for g in gens]
+        steps = [itemgetter(*g.images) for g in gens]
     found, seen = [start], {start: 0}  # in search order: found[j + 1] is gens[j]
     searched = [[] for _ in gens]
-    tree = []  # found[i] = steps[j](found[p]) for (p, j) = tree[i - 1]
+    tree = []  # found[i] is found[p] times gens[j] for (p, j) = tree[i - 1]
     for i, x in enumerate(found):
         for j, step in enumerate(steps):
-            y = step(x)
+            y = step(x) if on_left else Perm._raw(step(x.images))
             k = seen.setdefault(y, len(found))
             if k == len(found):
                 if k >= bound:
@@ -381,12 +380,8 @@ class PermGroup:
         if self._classes is None:
             _ = self.elements
             elems, _, right, left = self._maps
-            if len(elems) <= BYTE_LIMIT:
-                # The table taking x g to g x, so y to g y g^-1.
-                conj = [bytes.maketrans(bytes(r), bytes(left[s])) for s, r in right.items()]
-            else:
-                conj = [_take(sorted(range(len(r)), key=r.__getitem__), left[s])
-                        for s, r in right.items()]
+            conj = [_take(sorted(range(len(r)), key=r.__getitem__), left[s])
+                    for s, r in right.items()]
             self._classes = [ConjClass(elems[min(o)], frozenset(_take(elems, tuple(o))))
                              for o in _orbits(range(len(elems)), conj)]
         return self._classes
