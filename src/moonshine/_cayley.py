@@ -31,10 +31,6 @@ from itertools import combinations
 from .groups import BYTE_LIMIT, FactorDescriptor, NotASubgroup, _orbits, _take
 
 
-def _is_prime(n):
-    return n > 1 and all(n % p for p in range(2, math.isqrt(n) + 1))
-
-
 def _divisors(n):
     out = []
     for d in range(1, math.isqrt(n) + 1):
@@ -84,7 +80,6 @@ class CayleyTable:
         self.elems, self.index, self.mul, self.inv = elems, index, mul, inv
         self.all = frozenset(range(n))
         self._gens = {self.all: tuple(gens)}
-        self._orders = {}
         self._factors = {}
         self._perms = {self.all: elements}
         self._indices = {elements: self.all}
@@ -184,7 +179,7 @@ class CayleyTable:
             if sub <= s and self.is_normal_in(sub, s):
                 order = len(s) // len(sub)
                 abelian = self.is_abelian_over(s, sub)
-                simple = _is_prime(order) if abelian else self._classes_generate(sub, s)
+                simple = len(_divisors(order)) == 2 if abelian else self._classes_generate(sub, s)
                 desc = FactorDescriptor(order, abelian, simple)
             self._factors[key] = desc
         return self._factors[key]
@@ -199,16 +194,6 @@ class CayleyTable:
             if len(have) != len(s):
                 return False
         return True
-
-    def element_order(self, x):
-        order = self._orders.get(x)
-        if order is None:
-            row, power, order = self.mul[x], x, 1
-            while power:
-                power = row[power]
-                order += 1
-            self._orders[x] = order
-        return order
 
     def powers(self, x):
         """[x, x^2, ..., x^m], where m is the order of x and x^m is 0."""
@@ -242,19 +227,15 @@ class CayleyTable:
         n = len(s)
         if n == 1:
             return [s]
-        gen, involutions = None, 0
+        involutions = 0
         for x in s:
-            order = self.element_order(x)
-            if order == n:
-                gen = x
-                break
-            if order == 2:
+            powers = self.powers(x)
+            if len(powers) == n:  # x generates s
+                return [frozenset(powers[n // d - 1:: n // d]) for d in _divisors(n)]
+            if len(powers) == 2:
                 involutions += 1
                 if involutions == 2:
                     break
-        if gen is not None:
-            powers = self.powers(gen)
-            return [frozenset(powers[n // d - 1:: n // d]) for d in _divisors(n)]
         closures, closed = set(), set()
         for cls in self.classes(s, self.generators(s)):
             if not closed.isdisjoint(cls):

@@ -81,7 +81,8 @@ class Perm:
 
     def __init__(self, images):
         images = tuple(images)
-        if sorted(images) != list(range(len(images))):
+        # 1.0 and True equal 1, so the sort test alone would pass them
+        if not set(map(type, images)) <= {int} or sorted(images) != list(range(len(images))):
             raise DomainError("not a permutation of 0..n-1")
         self.images = images
         self._hash = hash(images)
@@ -102,6 +103,8 @@ class Perm:
         images = list(range(degree))
         for cycle in cycles:
             for i, pt in enumerate(cycle):
+                if type(pt) is not int or not 0 <= pt < degree:
+                    raise DomainError(f"cycle point {pt!r} is not one of 0..{degree - 1}")
                 images[pt] = cycle[(i + 1) % len(cycle)]
         return cls(images)
 
@@ -111,10 +114,10 @@ class Perm:
 
     def __mul__(self, other):
         # (p * q)(i) = p(q(i)), composed at C speed by itemgetter
-        q = other.images
-        if len(q) > 1:
-            return Perm._raw(itemgetter(*q)(self.images))
-        return Perm._raw(self.images)
+        p, q = self.images, other.images
+        if len(p) != len(q):
+            raise DomainError(f"degrees {len(p)} and {len(q)} differ")
+        return Perm._raw(_take(p, q)) if q else self
 
     def inverse(self):
         inv = [0] * len(self.images)
@@ -320,6 +323,9 @@ class ClassFunction(Record):
     __slots__ = ("values",)
 
     def __init__(self, values: dict):
+        for i, v in values.items():
+            if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
+                raise TypeError(f"class function value {v!r} at class {i} is not exact")
         setfield(self, "values", values)
 
 

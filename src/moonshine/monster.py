@@ -148,6 +148,9 @@ class IrrepDims(Record):
     def __init__(self, dims: tuple):
         if not dims:
             raise DataFormatError("no dimensions")
+        for i, r in enumerate(dims, 1):
+            if type(r) is not int:
+                raise DataFormatError(f"r_{i} = {r!r} is not an int")
         if dims[0] != 1:
             raise DataFormatError(f"r_1 must be 1, not {dims[0]}")
         for i, (a, b) in enumerate(zip(dims, dims[1:]), 2):
@@ -368,14 +371,15 @@ def knz_verify(order: int, coeffs: CoeffTable | None = None,
                unnormalized_c0: bool = False) -> KnzResult:
     """Verify p^-1 prod_{m>=1, n} (1 - p^m q^n)^c(mn) = J(p) - J(q), truncated.
 
-    Both sides are computed on the exponent rectangle [-1, order]^2.  The
-    exponents use c(0) = 0 and c(k) = 0 for k < -1; passing
-    ``unnormalized_c0=True`` forces c(0) = 744 instead, which breaks the
-    identity (the negative control distinguishing J - 744 from J).  The
-    factors with n >= 0 come as rows in p from :func:`_knz_rows`, for any
-    integer exponents, so perturbed tables report their mismatches.  The one
-    factor with n < 0 is (1 - p/q) itself, multiplied in afterwards: its
-    exponent c(-1) is 1 in every :class:`CoeffTable`.
+    Both sides are computed on the exponent rectangle [-1, order]^2, with
+    c(k) = 0 for k < -1 and the constant term of J(p) - J(q) cancelling.
+    ``unnormalized_c0=True`` is the negative control distinguishing J - 744
+    from J: it checks the perturbed table ``coeffs.with_value(0, 744)``,
+    whose c(0) = 744 breaks the identity.  The factors with n >= 0 come as
+    rows in p from :func:`_knz_rows`, for any integer exponents, so
+    perturbed tables report their mismatches.  The one factor with n < 0 is
+    (1 - p/q) itself, multiplied in afterwards: its exponent c(-1) is 1 in
+    every :class:`CoeffTable`.
     """
     if order < 0:
         raise DomainError("order must be >= 0")
@@ -387,31 +391,29 @@ def knz_verify(order: int, coeffs: CoeffTable | None = None,
     if coeffs.max_index < max(need, order):
         raise InsufficientCoefficients(
             f"need c(n) through n = {max(need, order)}, table stops at {coeffs.max_index}")
-
-    def c_exp(k):
-        if k == 0 and unnormalized_c0:
-            return 744
-        return coeffs.c(k)
+    if unnormalized_c0:
+        coeffs = coeffs.with_value(0, 744)
 
     # The working rectangle keeps the p^-1 prefactor out until the end, and
     # its q-range extends one past the target: (1 - p/q) is the only source
     # of negative q-degrees, so row terms at q-degree order+1 still land
     # inside the target after it.  Every other factor only raises degrees,
     # so the rows truncated at q^(order+1) and p^(order+1) lose nothing.
+    # The rectangle starts at p^0: shifted to p^-1, it would lose the p/q
+    # term of (1 - p/q) at order 0.
     work_rect = (0, order + 1, -1, order + 1)
-    rows = _knz_rows(order + 2, c_exp)
+    rows = _knz_rows(order + 2, coeffs.c)
     f = BiLaurentSeries({(m, n): v for m, row in enumerate(rows) for n, v in enumerate(row)},
                         work_rect)
     acc = _binomial_factor(work_rect) * f
     final_rect = (-1, order, -1, order)
-    lhs = acc.truncated((0, order + 1, -1, order)).shifted(-1, 0, rect=final_rect)
-
+    lhs = BiLaurentSeries({(m - 1, n): v for (m, n), v in acc.terms.items() if n <= order},
+                          final_rect)
     rhs_terms = {}
     for k in range(-1, order + 1):
-        ck = 1 if k == -1 else (0 if k == 0 else coeffs.c(k))
-        if ck:
-            rhs_terms[(k, 0)] = rhs_terms.get((k, 0), 0) + ck
-            rhs_terms[(0, k)] = rhs_terms.get((0, k), 0) - ck
+        if k:
+            rhs_terms[(k, 0)] = coeffs.c(k)
+            rhs_terms[(0, k)] = -coeffs.c(k)
     rhs = BiLaurentSeries(rhs_terms, final_rect)
     return KnzResult(lhs, rhs, lhs == rhs)
 

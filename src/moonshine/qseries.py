@@ -308,6 +308,8 @@ class LaurentSeries:
 
     def shift(self, k):
         """Multiply by q^k (shifts the whole window by k)."""
+        if not isinstance(k, int):
+            raise TypeError("series shifts must be integers")
         return LaurentSeries._make(self.coeffs, self.valuation + k, self.trunc + k)
 
     def truncate(self, new_trunc):
@@ -412,21 +414,6 @@ class BiLaurentSeries:
                     out[key] = get(key, 0) + c1 * c2
         terms = {k: c if type(c) is int else _norm(c) for k, c in out.items() if c}
         return BiLaurentSeries._make(terms, self.rect)
-
-    def shifted(self, dp, dq, rect=None):
-        """Multiply by p^dp q^dq, optionally rebasing onto a new rectangle."""
-        rect = rect if rect is not None else self.rect
-        return BiLaurentSeries({(m + dp, n + dq): c for (m, n), c in self.terms.items()}, rect)
-
-    def truncated(self, rect):
-        """Restrict to a sub-rectangle, discarding terms outside it."""
-        pmin, pmax, qmin, qmax = rect
-        spmin, spmax, sqmin, sqmax = self.rect
-        if pmin < spmin or pmax > spmax or qmin < sqmin or qmax > sqmax:
-            raise DomainError("can only truncate to a sub-rectangle")
-        kept = {(m, n): c for (m, n), c in self.terms.items()
-                if pmin <= m <= pmax and qmin <= n <= qmax}
-        return BiLaurentSeries(kept, rect)
 
     def __eq__(self, other):
         if not isinstance(other, BiLaurentSeries):

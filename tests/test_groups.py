@@ -177,6 +177,23 @@ def test_perm_basics():
     assert q.fixed_points() == 2
     with pytest.raises(ValueError):
         Perm((0, 0, 1))
+    assert Perm([0]) * Perm([0]) == Perm.identity(1)
+    assert Perm([]) * Perm([]) == Perm.identity(0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Perm([1.0, 0.0]),
+    lambda: Perm([0.0, 1.0]),
+    lambda: Perm([False, True]),
+    lambda: Perm.from_cycles(3, (0, 5)),
+    lambda: Perm.from_cycles(3, (0, 1.0)),
+    lambda: Perm([1, 0, 2]) * Perm([0]),
+    lambda: Perm([1, 2, 0]) * Perm([1, 0]),
+], ids=["float-images", "float-identity", "bool-images", "cycle-point-past-degree",
+        "float-cycle-point", "shorter-right-factor", "degrees-differ"])
+def test_perm_refuses_malformed_input(call):
+    with pytest.raises(groups.DomainError):
+        call()
 
 
 def _cycle_text(p):

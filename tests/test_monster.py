@@ -63,20 +63,18 @@ def _binomial(m, n, e, rect):
     return BiLaurentSeries(terms, rect)
 
 
-def _knz_lhs_by_factors(order, coeffs, unnormalized_c0=False):
+def _knz_lhs_by_factors(order, coeffs):
     """Oracle: the left side multiplied out one binomial factor at a time."""
-    def c_exp(k):
-        return 744 if k == 0 and unnormalized_c0 else coeffs.c(k)
-
     work_rect = (0, order + 1, -1, order + 1)
-    acc = _binomial(1, -1, c_exp(-1), work_rect)
+    acc = _binomial(1, -1, coeffs.c(-1), work_rect)
     for m in range(1, order + 2):
         for n in range(0, order + 2):
-            e = c_exp(m * n)
+            e = coeffs.c(m * n)
             if e:
                 acc = acc * _binomial(m, n, e, work_rect)
-    final_rect = (-1, order, -1, order)
-    return acc.truncated((0, order + 1, -1, order)).shifted(-1, 0, rect=final_rect)
+    # times p^-1, and cut to q^order
+    return BiLaurentSeries({(m - 1, n): v for (m, n), v in acc.terms.items() if n <= order},
+                           (-1, order, -1, order))
 
 
 def test_embedded_table_matches_computed_expansion(coeffs):
@@ -233,10 +231,21 @@ def test_knz_rows_match_factor_oracle(j_table):
         result = knz_verify(order, j_table)
         assert result.lhs == _knz_lhs_by_factors(order, j_table)
         assert result.equal
+    control = j_table.with_value(0, 744)
     for order in range(0, 13):
         result = knz_verify(order, j_table, unnormalized_c0=True)
-        assert result.lhs == _knz_lhs_by_factors(order, j_table, unnormalized_c0=True)
+        assert result.lhs == _knz_lhs_by_factors(order, control)
         assert not result.equal
+
+
+def test_knz_control_is_the_perturbed_table(j_table):
+    before = dict(j_table.values)
+    for order in range(0, 7):
+        flagged = knz_verify(order, j_table, unnormalized_c0=True)
+        perturbed = knz_verify(order, j_table.with_value(0, 744))
+        assert (flagged.lhs, flagged.rhs, flagged.equal) == \
+            (perturbed.lhs, perturbed.rhs, perturbed.equal)
+    assert j_table.values == before and j_table.normalized
 
 
 def test_knz_perturbed_tables_match_oracle(j_table):

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from moonshine import MoonshineError, qseries
+from moonshine.groups import ClassFunction, class_fn_inner, symmetric_group, trivial_character
+from moonshine.monster import DataFormatError, IrrepDims
 from moonshine.qseries import (
     KRONECKER_MIN_LEN,
     BiLaurentSeries,
@@ -507,16 +509,13 @@ def test_bls_rectangle_mismatch():
         a * b
 
 
-def test_bls_coefficient_and_truncate():
+def test_bls_coefficient():
     rect = (0, 2, 0, 2)
     f = BiLaurentSeries({(1, 1): 4}, rect)
     assert f.coefficient(1, 1) == 4
     assert f.coefficient(0, 0) == 0
     with pytest.raises(UnknownCoefficient):
         f.coefficient(3, 0)
-    assert f.truncated((0, 1, 0, 1)) == BiLaurentSeries({(1, 1): 4}, (0, 1, 0, 1))
-    with pytest.raises(ValueError):
-        f.truncated((0, 5, 0, 1))
 
 
 def test_bls_rejects_out_of_rectangle_keys():
@@ -529,9 +528,15 @@ def test_no_floats_anywhere():
         LaurentSeries([1.5])
     with pytest.raises(TypeError):
         BiLaurentSeries({(0, 0): 0.5}, (0, 1, 0, 1))
-
-
-_BLS = BiLaurentSeries({(0, 0): 1, (1, 1): -1}, (0, 2, 0, 2))
+    with pytest.raises(TypeError):
+        LaurentSeries([1, 2]).shift(0.5)
+    s3 = symmetric_group(3)
+    for value in (0.1, True):
+        with pytest.raises(TypeError):
+            class_fn_inner(ClassFunction({0: value, 1: 1, 2: 1}), trivial_character(s3), s3)
+    assert ClassFunction({0: Fraction(1, 2), 1: 1}).values == {0: Fraction(1, 2), 1: 1}
+    with pytest.raises(DataFormatError, match=r"r_2"):
+        IrrepDims((1, 2.5))
 
 
 @pytest.mark.parametrize("call", [
@@ -540,9 +545,7 @@ _BLS = BiLaurentSeries({(0, 0): 1, (1, 1): -1}, (0, 2, 0, 2))
     lambda: LaurentSeries([1, 2]).truncate(3),
     lambda: BiLaurentSeries({}, (1, 0, 0, 2)),
     lambda: BiLaurentSeries({(5, 0): 1}, (0, 2, 0, 2)),
-    lambda: _BLS.truncated((0, 5, 0, 1)),
-], ids=["window", "divide-by-zero", "extend-window", "empty-rectangle", "outside-rectangle",
-        "not-a-sub-rectangle"])
+], ids=["window", "divide-by-zero", "extend-window", "empty-rectangle", "outside-rectangle"])
 def test_refused_arguments_raise_domain_error(call):
     # A refused argument is a MoonshineError that is still a ValueError.
     with pytest.raises(MoonshineError) as info:
