@@ -3,17 +3,28 @@ quotients, composition series and Jordan-Hoelder factor multisets.
 
 Elements are enumerated once, by breadth-first closure under the
 generators, which also records each generator's right and left
-multiplication maps on integer indices.  Up to ``BYTE_LIMIT`` = 256 points
-the closure keeps images as ``bytes`` and composes them with
-``bytes.translate``, one C call per product; past it, it composes image
-tuples through one getter per generator.  The limit is the size of a
-translate table, since every point must fit in one byte.  Only
-``is_abelian`` calls ``Perm.__mul__``.  Conjugacy classes are orbits read
-off the maps, so groups too large for a table (S8) still answer them.
+multiplication maps on integer indices.  Elements are indexed in sorted
+``Perm`` order, so the identity is 0 and sorted index sets order like the
+element sets they stand for.  Only ``is_abelian`` calls ``Perm.__mul__``.
+Conjugacy classes are orbits read off the maps, so groups too large for a
+table (S8) still answer them.
+
 Normality, quotients, normal subgroups, simplicity, composition series and
-their factors run over a Cayley table that each group builds on first use
-from its left maps (:mod:`moonshine._cayley`).  Public methods still take
-and return frozensets of ``Perm``.
+their factors run over a :class:`CayleyTable` that each group builds on
+first use from its left maps, taking no ``Perm`` products: every row other
+than the identity's is its BFS parent's row mapped through one generator's
+map.  Subgroups grow coset by coset (Dimino's algorithm), two normal
+subgroups join as their product set AB, and the normal lattice takes one
+normal closure per cyclic subgroup (:meth:`CayleyTable.lattice`).  Each
+step sub < s of a chain is checked once per table, for normality and an
+abelian and a simple factor (:meth:`CayleyTable.factor`).  Public methods
+take and return frozensets of ``Perm``; the table works on frozensets of
+indices.
+
+``bytes.translate`` maps every byte through one 256-entry table.  So an
+index map on at most ``BYTE_LIMIT`` = 256 points (closure images) or
+elements (table rows) is kept as ``bytes``, and composing two of them is
+one C call; past the limit both are tuples.
 
 Three constant budgets raise ``CapExceeded`` before memory runs out:
 ``ELEMENT_LIMIT`` bounds a group's order and ``CLOSURE_LIMIT`` its elements
@@ -29,7 +40,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import ge, gt, itemgetter, le, lt, methodcaller, mul
 
 from ._errors import DomainError, MoonshineError
@@ -68,10 +79,7 @@ CLOSURE_LIMIT = 2 ** 24
 # Cayley table entries, order^2: S7 (25.4M) and D2896 (33.5M) fit, A8 (406M)
 # does not.
 TABLE_LIMIT = 2 ** 25
-# bytes.translate maps every byte through one 256-entry table, so an index
-# map on at most 256 points (closure images) or elements (Cayley rows) is
-# ``bytes`` and two of them compose in one C call.  Fixed by the table size.
-BYTE_LIMIT = 256
+BYTE_LIMIT = 256  # the size of a bytes.translate table
 
 
 class Perm:
@@ -100,13 +108,17 @@ class Perm:
 
     @classmethod
     def from_cycles(cls, degree, *cycles):
-        images = list(range(degree))
+        """The product of disjoint ``cycles``: a point may appear only once."""
+        images, seen = list(range(degree)), set()
         for cycle in cycles:
             for i, pt in enumerate(cycle):
                 if type(pt) is not int or not 0 <= pt < degree:
                     raise DomainError(f"cycle point {pt!r} is not one of 0..{degree - 1}")
+                if pt in seen:
+                    raise DomainError(f"cycle point {pt} appears more than once")
+                seen.add(pt)
                 images[pt] = cycle[(i + 1) % len(cycle)]
-        return cls(images)
+        return cls._raw(tuple(images))
 
     @property
     def degree(self):
@@ -126,6 +138,8 @@ class Perm:
         return Perm._raw(tuple(inv))
 
     def __call__(self, i):
+        if type(i) is not int or not 0 <= i < len(self.images):
+            raise DomainError(f"point {i!r} is not one of 0..{len(self.images) - 1}")
         return self.images[i]
 
     def fixed_points(self) -> int:
@@ -191,8 +205,8 @@ def _take(seq, idx):
 
 def _orbits(seeds, maps):
     """Orbits of the indices ``seeds`` under the index ``maps``, as sets, in
-    the order of their first seeds."""
-    seen, orbits = set(), []
+    the order of their first seeds; each is built only when asked for."""
+    seen = set()
     for x in seeds:
         if x not in seen:
             orbit, frontier = {x}, [x]
@@ -202,8 +216,17 @@ def _orbits(seeds, maps):
                         orbit.add(m[y])
                         frontier.append(m[y])
             seen |= orbit
-            orbits.append(orbit)
-    return orbits
+            yield orbit
+
+
+def _divisors(n):
+    out = []
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            out.append(d)
+            if d * d != n:
+                out.append(n // d)
+    return sorted(out)
 
 
 def _budget(degree):
@@ -329,6 +352,229 @@ class ClassFunction(Record):
         setfield(self, "values", values)
 
 
+# -- the index core ----------------------------------------------------------
+
+class CayleyTable:
+    """Cayley table of a finite group, on integer indices.
+
+    ``elems[i]`` is the i-th element in sorted ``Perm`` order,
+    ``mul[x][y]`` indexes ``elems[x] * elems[y]`` and ``inv[x]`` indexes
+    the inverse of ``elems[x]``.  The rows ``mul[x]`` are ``bytes`` up to
+    BYTE_LIMIT elements and tuples past it.  Subgroups are frozensets of
+    indices.
+    """
+
+    def __init__(self, elements, elems, index, left):
+        """The group ``elements``, with ``elems`` and ``index`` as above and
+        ``left[s][x]`` indexing ``elems[s] * elems[x]`` for each generator s."""
+        n = len(elems)
+        gens = sorted(left)
+        as_bytes = n <= BYTE_LIMIT
+        mul = [None] * n
+        mul[0] = bytes(range(n)) if as_bytes else tuple(range(n))
+        maps = {s: bytes(left[s]).ljust(BYTE_LIMIT, b"\0") for s in gens} if as_bytes else None
+        tree = []
+        queue = [0]
+        for x in queue:
+            for s in gens:
+                y = left[s][x]
+                if mul[y] is None:
+                    # (s x) y = s (x y): the row of s x is the row of x mapped by s.
+                    mul[y] = mul[x].translate(maps[s]) if as_bytes else _take(left[s], mul[x])
+                    tree.append((y, x, s))
+                    queue.append(y)
+        gen_inv = {s: left[s].index(0) for s in gens}
+        inv = [0] * n
+        for y, x, s in tree:
+            inv[y] = mul[inv[x]][gen_inv[s]]  # (s x)^-1 = x^-1 s^-1
+        self.elems, self.index, self.mul, self.inv = elems, index, mul, inv
+        self.all = frozenset(range(n))
+        self._gens = {self.all: tuple(gens)}
+        self._factors = {}
+        self._perms = {self.all: elements}
+        self._indices = {elements: self.all}
+
+    def perms(self, s):
+        """The element set that the index set ``s`` stands for."""
+        out = self._perms.get(s)
+        if out is None:
+            out = self._perms[s] = frozenset(_take(self.elems, tuple(s)))
+            self._indices[out] = s
+        return out
+
+    def indices(self, subset):
+        """The index set of the element set ``subset``."""
+        out = self._indices.get(subset)
+        if out is None:
+            try:
+                out = frozenset(self.index[p] for p in subset)
+            except KeyError:
+                raise NotASubgroup("element set is not inside the group") from None
+            self._indices[subset] = out
+        return out
+
+    def grow(self, have, gens, new, stop=None):
+        """Extend the subgroup ``have`` = <gens>, in place, by each element of
+        ``new`` in turn, stopping once it has ``stop`` elements; returns the
+        generators used.
+
+        Each step is Dimino's: the larger group is a union of left cosets
+        t H of the group H before the step, found from the coset
+        representatives times the generators.
+        """
+        mul = self.mul
+        gens = list(gens)
+        for x in new:
+            if x in have:
+                continue
+            gens.append(x)
+            members = tuple(have)
+            reps = [0]
+            for r in reps:
+                for g in gens:
+                    t = mul[g][r]
+                    if t not in have:
+                        have.update(_take(mul[t], members))
+                        reps.append(t)
+            if len(have) == stop:
+                break
+        return gens
+
+    def generators(self, s):
+        """A small generating set of the subgroup ``s``, greedy in index order.
+        Raises NotASubgroup unless ``s`` is a subgroup, so only subgroups
+        are cached."""
+        gens = self._gens.get(s)
+        if gens is None:
+            have = {0}
+            gens = tuple(self.grow(have, (), sorted(s), stop=len(s)))
+            if have != s:
+                raise NotASubgroup("element set is not a subgroup")
+            self._gens[s] = gens
+        return gens
+
+    def classes(self, seeds, gens):
+        """Orbits under conjugation by ``gens`` of the elements ``seeds``, built
+        one at a time as they are asked for."""
+        mul, inv = self.mul, self.inv
+        # g y g^-1 = g (g y^-1)^-1, as a map on all indices at C speed
+        return _orbits(seeds, [_take(mul[g], _take(inv, _take(mul[g], inv))) for g in gens])
+
+    def is_normal_in(self, sub, s):
+        """Whether ``sub`` is stable under conjugation by the generators of ``s``."""
+        mul, inv = self.mul, self.inv
+        for g in self.generators(s):
+            row, gi = mul[g], inv[g]
+            if any(mul[row[x]][gi] not in sub for x in sub):
+                return False
+        return True
+
+    def is_abelian_over(self, s, sub):
+        """Whether s/sub is abelian: every commutator of generators of s lies in sub."""
+        mul, inv = self.mul, self.inv
+        return all(mul[mul[mul[a][b]][inv[a]]][inv[b]] in sub
+                   for a, b in combinations(self.generators(s), 2))
+
+    def factor(self, sub, s):
+        """The descriptor of s/sub, or None unless ``sub`` is a normal
+        subgroup of the subgroup ``s``; each pair is checked once.
+
+        An abelian s/sub is simple exactly when its order is prime.  A
+        non-abelian one is simple when every conjugacy class of s outside
+        ``sub`` generates s together with ``sub``, that is, when no element
+        has a smaller normal closure.
+        """
+        key = (sub, s)
+        if key not in self._factors:
+            desc = None
+            if sub <= s and self.is_normal_in(sub, s):
+                order = len(s) // len(sub)
+                abelian = self.is_abelian_over(s, sub)
+                simple = len(_divisors(order)) == 2 if abelian else self._classes_generate(sub, s)
+                desc = FactorDescriptor(order, abelian, simple)
+            self._factors[key] = desc
+        return self._factors[key]
+
+    def _classes_generate(self, sub, s):
+        """Whether each conjugacy class of s outside the normal subgroup
+        ``sub`` generates s together with ``sub``."""
+        sub_gens = self.generators(sub)
+        for cls in self.classes(s - sub, self.generators(s)):
+            have = set(sub)
+            self.grow(have, sub_gens, cls, stop=len(s))
+            if len(have) != len(s):
+                return False
+        return True
+
+    def powers(self, x):
+        """[x, x^2, ..., x^m], where m is the order of x and x^m is 0."""
+        row, out = self.mul[x], [x]
+        while out[-1]:
+            out.append(row[out[-1]])
+        return out
+
+    def product(self, a, b):
+        """The product set AB of two normal subgroups, which is their join."""
+        mul = self.mul
+        have = set(b)
+        members = tuple(b)
+        for x in a:
+            if x not in have:
+                have.update(_take(mul[x], members))
+        return frozenset(have)
+
+    def lattice(self, s):
+        """All normal subgroups of the subgroup ``s``, by order, then by indices.
+
+        Every normal subgroup is a join of normal closures of single
+        conjugacy classes, so the lattice is the join-closure of those
+        generators.  A class is closed only if it meets no generator of a
+        cyclic group <x> whose class was closed before: each such x^j, with
+        j prime to the order of x, generates <x>, so ncl(x^j) = ncl(x).
+        Cyclic groups take a direct path through their divisor lattice; the
+        search for an element of order |s| stops at a second element of
+        order 2, which a cyclic group does not have.
+        """
+        n = len(s)
+        if n == 1:
+            return [s]
+        involutions = 0
+        for x in s:
+            powers = self.powers(x)
+            if len(powers) == n:  # x generates s
+                return [frozenset(powers[n // d - 1:: n // d]) for d in _divisors(n)]
+            if len(powers) == 2:
+                involutions += 1
+                if involutions == 2:
+                    break
+        closures, closed = set(), set()
+        for cls in self.classes(s, self.generators(s)):
+            if not closed.isdisjoint(cls):
+                continue
+            have = {0}
+            self.grow(have, (), cls)
+            closures.add(frozenset(have))
+            powers = self.powers(next(iter(cls)))
+            closed.update(p for j, p in enumerate(powers, 1) if math.gcd(j, len(powers)) == 1)
+        normals = {frozenset({0})} | closures
+        worklist = list(closures)
+        while worklist:
+            a = worklist.pop()
+            for b in list(normals):
+                if a <= b or b <= a:
+                    continue
+                join = self.product(a, b)
+                if join not in normals:
+                    normals.add(join)
+                    worklist.append(join)
+        return sorted(normals, key=lambda t: (len(t), sorted(t)))
+
+    def maximal_normals(self, s):
+        proper = [t for t in self.lattice(s) if len(t) < len(s)]
+        return [t for t in proper
+                if not any(len(u) > len(t) and t < u for u in proper)]
+
+
 class PermGroup:
     """Finite permutation group given by generators on {0, ..., degree-1}.
 
@@ -347,7 +593,7 @@ class PermGroup:
         self._elements = None
         self._maps = None
         self._classes = None
-        self._cayley = None
+        self._cayley_table = None
 
     def __repr__(self):
         return f"PermGroup({self.name}, degree={self.degree})"
@@ -367,18 +613,14 @@ class PermGroup:
         return len(self.elements)
 
     def _table(self):
-        if self._cayley is None:
+        if self._cayley_table is None:
             n = len(self.elements)
             if n * n > TABLE_LIMIT:
                 raise CapExceeded(f"order {n} needs a Cayley table of {n * n} entries; "
                                   f"TABLE_LIMIT is {TABLE_LIMIT}")
-            # Imported on first use, like every module of the package that a
-            # call may not need: without a bytecode cache each import compiles
-            # its source, about 1 ms for the index core.
-            from ._cayley import CayleyTable
             elems, index, _, left = self._maps
-            self._cayley = CayleyTable(self.elements, elems, index, left)
-        return self._cayley
+            self._cayley_table = CayleyTable(self.elements, elems, index, left)
+        return self._cayley_table
 
     def conjugacy_classes(self):
         """Conjugacy classes, in the order of their least elements: orbits of
@@ -412,8 +654,8 @@ class PermGroup:
             raise NotNormal("subgroup is not normal")
         t = self._table()
         # x N is the orbit of x under right multiplication by N's generators.
-        cosets = _orbits(range(len(t.mul)), [[row[h] for row in t.mul]
-                                             for h in t.generators(t.indices(n))])
+        cosets = list(_orbits(range(len(t.mul)), [[row[h] for row in t.mul]
+                                                  for h in t.generators(t.indices(n))]))
         coset = {x: i for i, c in enumerate(cosets) for x in c}
         images = [Perm._raw(tuple(coset[t.mul[t.index[g]][min(c)]] for c in cosets))
                   for g in self.generators]
@@ -431,35 +673,36 @@ class PermGroup:
             raise DomainError("the trivial group is conventionally not simple")
         return t.factor(frozenset({0}), t.all).is_simple
 
+    def _series(self):
+        """The chain of ``composition_series`` as index sets, and each step's
+        factor descriptor from the top down.  The table's own step check
+        (``CayleyTable.factor``), not the lattice that chose the step, must
+        find it normal with a simple factor, or AssertionError is raised."""
+        t = self._table()
+        chain, descs = [t.all], []
+        while len(chain[-1]) > 1:
+            maximals = t.maximal_normals(chain[-1])
+            best = max(len(s) for s in maximals)
+            sub = min((s for s in maximals if len(s) == best), key=sorted)
+            desc = t.factor(sub, chain[-1])
+            if desc is None:
+                raise AssertionError("chain step is not normal")
+            if not desc.is_simple:
+                raise AssertionError("chain factor is not simple")
+            chain.append(sub)
+            descs.append(desc)
+        chain.reverse()
+        return chain, descs
+
     def composition_series(self):
         """A chain [{e}, ..., G] with simple factors, chosen deterministically.
 
         Each step takes a maximal proper normal subgroup of the previous
         group; ties on order break to the lexicographically smallest element
-        set.  The returned chain is validated: every step is normal in its
-        parent and every factor is simple.
+        set.  Every step is checked to be normal in its parent with a simple
+        factor.
         """
-        t = self._table()
-        chain = [t.all]
-        while len(chain[-1]) > 1:
-            maximals = t.maximal_normals(chain[-1])
-            best = max(len(s) for s in maximals)
-            chain.append(min((s for s in maximals if len(s) == best), key=sorted))
-        chain.reverse()
-        self._validate_chain(chain)
-        return [t.perms(s) for s in chain]
-
-    def _validate_chain(self, chain):
-        """Check a chain of index sets without the lattice that chose it:
-        each step must be a proper normal subgroup of the next, with a simple
-        factor by the table's own step check (``CayleyTable.factor``)."""
-        t = self._table()
-        for prev, cur in zip(chain, chain[1:]):
-            desc = t.factor(prev, cur) if prev < cur else None
-            if desc is None:
-                raise AssertionError("chain step is not normal")
-            if not desc.is_simple:
-                raise AssertionError("chain factor is not simple")
+        return list(map(self._table().perms, self._series()[0]))
 
     def all_composition_series(self):
         """Every composition series (all maximal-normal-subgroup choices)."""
@@ -491,8 +734,7 @@ class PermGroup:
 
     def jordan_holder_factors(self):
         """The factor multiset of any composition series, as a sorted tuple."""
-        chain = self.composition_series()
-        descs = self.factor_descriptors(chain)
+        descs = tuple(sorted(self._series()[1]))
         for d in descs:
             if d.order >= JH_ORDER_LIMIT:
                 raise OrderTooLarge(f"factor order {d.order} >= {JH_ORDER_LIMIT}")

@@ -25,7 +25,7 @@ from moonshine.groups import (
     symmetric_group,
     trivial_character,
 )
-from moonshine.groups import BYTE_LIMIT, _enumerate
+from moonshine.groups import BYTE_LIMIT, CayleyTable, _enumerate
 
 
 
@@ -179,6 +179,8 @@ def test_perm_basics():
         Perm((0, 0, 1))
     assert Perm([0]) * Perm([0]) == Perm.identity(1)
     assert Perm([]) * Perm([]) == Perm.identity(0)
+    assert Perm.from_cycles(4, (1,), (0, 3), (2,)) == Perm([3, 1, 2, 0])
+    assert [p(i) for i in range(4)] == [1, 2, 0, 3]
 
 
 @pytest.mark.parametrize("call", [
@@ -189,11 +191,31 @@ def test_perm_basics():
     lambda: Perm.from_cycles(3, (0, 1.0)),
     lambda: Perm([1, 0, 2]) * Perm([0]),
     lambda: Perm([1, 2, 0]) * Perm([1, 0]),
+    lambda: Perm.from_cycles(3, (0, 1, 2), (0, 1, 2)),
+    lambda: Perm.from_cycles(4, (0, 1), (1, 0)),
+    lambda: Perm.from_cycles(3, (0, 1), (1, 2)),
+    lambda: Perm([1, 2, 0])(-1),
+    lambda: Perm([1, 2, 0])(-3),
+    lambda: Perm([1, 2, 0])(3),
+    lambda: Perm([1, 2, 0])(1.0),
+    lambda: Perm([1, 2, 0])(True),
 ], ids=["float-images", "float-identity", "bool-images", "cycle-point-past-degree",
-        "float-cycle-point", "shorter-right-factor", "degrees-differ"])
+        "float-cycle-point", "shorter-right-factor", "degrees-differ",
+        "repeated-cycle", "reversed-cycle", "overlapping-cycles",
+        "image-of-minus-one", "image-of-minus-degree", "image-past-degree",
+        "image-of-float", "image-of-bool"])
 def test_perm_refuses_malformed_input(call):
     with pytest.raises(groups.DomainError):
         call()
+
+
+def test_refusals_name_the_point():
+    # Overlapping cycles once read as the last assignment, not their
+    # product, and a negative point read the image tuple from its end.
+    with pytest.raises(groups.DomainError, match="cycle point 1 appears more than once"):
+        Perm.from_cycles(3, (0, 1), (1, 2))
+    with pytest.raises(groups.DomainError, match="point -1 is not one of 0..2"):
+        Perm([1, 2, 0])(-1)
 
 
 def _cycle_text(p):
@@ -454,8 +476,6 @@ def test_is_simple():
 
 
 def test_is_simple_abelian_needs_no_class_walk(monkeypatch):
-    from moonshine._cayley import CayleyTable
-
     def refuse(self, sub, s):
         raise AssertionError("an abelian quotient walked its conjugacy classes")
 
@@ -465,6 +485,38 @@ def test_is_simple_abelian_needs_no_class_walk(monkeypatch):
     assert cyclic_group(4001).is_simple()
     d6 = dihedral_group(6)
     assert [d.is_simple for d in d6.factor_descriptors(d6.composition_series())] == [True] * 3
+
+
+@pytest.mark.parametrize("build, built, classes", [
+    (lambda: symmetric_group(4), 2, 4), (lambda: dihedral_group(6), 1, 5),
+    (lambda: symmetric_group(5), 2, 6), (lambda: alternating_group(4), 3, 3)],
+    ids=["S4", "D6", "S5", "A4"])
+def test_is_simple_stops_at_the_first_class_that_fails(monkeypatch, build, built, classes):
+    # _orbits yields one class at a time, so the first class outside {e}
+    # that does not generate the group decides, and no later class is built:
+    # the conjugation maps are read only at the points of the yielded classes.
+    g = build()
+    orbits, yielded, read = groups._orbits, [], set()
+
+    class Spied:
+        def __init__(self, m):
+            self.m = m
+
+        def __getitem__(self, y):
+            read.add(y)
+            return self.m[y]
+
+    def spy(seeds, maps):
+        for orbit in orbits(seeds, list(map(Spied, maps))):
+            yielded.append(orbit)
+            yield orbit
+
+    monkeypatch.setattr(groups, "_orbits", spy)
+    assert not g.is_simple()
+    assert len(yielded) == built
+    assert read == set().union(*yielded)
+    monkeypatch.undo()
+    assert len(g.conjugacy_classes()) == classes + 1
 
 
 def test_composition_series_examples():
@@ -758,17 +810,39 @@ def test_byte_limit_boundary_matches_perm_oracle(monkeypatch, build):
         assert (q.degree, q.generators) == (oracle.degree, oracle.generators), g.name
 
 
-def test_validate_chain_rejects_bad_chains():
+_V4 = [(), ((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))]
+
+
+@pytest.mark.parametrize("below_the_top, message", [
+    ([()], "not simple"),  # S4/{e}, as if the lattice had nothing in between
+    ([(), ((0, 1),)], "not normal"),  # <(0 1)>
+    (_V4, "not simple"),  # S4/V4, isomorphic to S3
+], ids=["trivial", "transposition", "klein-four"])
+@pytest.mark.parametrize("method", ["composition_series", "jordan_holder_factors"])
+def test_series_walk_rejects_a_wrong_lattice_choice(monkeypatch, below_the_top, message, method):
+    # The series walk checks each chosen step with the table's own factor
+    # check, so a lattice that offers a wrong maximal normal subgroup of S4
+    # is caught, whichever public method walks the chain.
     s4 = symmetric_group(4)
     t = s4._table()
-    e = frozenset({s4.identity})
-    a4 = alternating_group(4).elements
-    with pytest.raises(AssertionError, match="not simple"):
-        s4._validate_chain([t.indices(e), t.indices(a4), t.all])
-    swap = frozenset({s4.identity, Perm.from_cycles(4, (0, 1))})
-    with pytest.raises(AssertionError, match="not normal"):
-        s4._validate_chain([t.indices(e), t.indices(swap), t.all])
-    s4._validate_chain([t.indices(s) for s in s4.composition_series()])
-    c4 = cyclic_group(4)
-    with pytest.raises(AssertionError, match="not simple"):
-        c4._validate_chain([frozenset({0}), c4._table().all])
+    wrong = t.indices(frozenset(Perm.from_cycles(4, *c) for c in below_the_top))
+    maximal_normals = CayleyTable.maximal_normals
+    monkeypatch.setattr(CayleyTable, "maximal_normals",
+                        lambda self, s: [wrong] if s == self.all else maximal_normals(self, s))
+    with pytest.raises(AssertionError, match=message):
+        getattr(s4, method)()
+    monkeypatch.undo()
+    getattr(s4, method)()  # the lattice's own choices pass the same check
+
+
+def test_jordan_holder_factors_converts_no_element_sets(monkeypatch):
+    # The factors are read off the index chain: no index set becomes a set
+    # of Perm, and no set of Perm an index set.
+    def refuse(self, s):
+        raise AssertionError("an element set was converted")
+
+    monkeypatch.setattr(CayleyTable, "perms", refuse)
+    monkeypatch.setattr(CayleyTable, "indices", refuse)
+    for g, orders in ((symmetric_group(4), [2, 2, 2, 3]), (dihedral_group(12), [2, 2, 2, 3]),
+                      (cyclic_group(60), [2, 2, 3, 5])):
+        assert [d.order for d in g.jordan_holder_factors()] == orders, g.name
