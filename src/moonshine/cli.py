@@ -53,6 +53,16 @@ def _check_digits(text):
         raise MoonshineError(f"a decimal exponent of {exponent} is past the limit of {bound}")
 
 
+def _parse_int(text):
+    # int() refuses every text that _check_digits refuses, so the check,
+    # several microseconds per argument, runs only to word a refusal.
+    try:
+        return int(text)
+    except ValueError:
+        _check_digits(text)
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_fraction(text):
     _check_digits(text)
     try:
@@ -105,7 +115,7 @@ def _parse_group(name):
     if not m:
         raise argparse.ArgumentTypeError(
             f"unknown group {name!r}; use C<n>, D<n>, A<n> or S<n>")
-    family, n = m.group(1), int(m.group(2))
+    family, n = m.group(1), _parse_int(m.group(2))
     maker = {"C": groups.cyclic_group, "D": groups.dihedral_group,
              "A": groups.alternating_group, "S": groups.symmetric_group}[family]
     try:
@@ -308,17 +318,17 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("j", parents=[common], help="coefficients of the modular invariant")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_parse_int, required=True)
     p.add_argument("--normalized", action="store_true", help="drop the constant term 744")
     p.set_defaults(func=cmd_j)
 
     p = sub.add_parser("eisenstein", parents=[common], help="normalized Eisenstein series")
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--weight", type=_parse_int, required=True)
+    p.add_argument("--order", type=_parse_int, required=True)
     p.set_defaults(func=cmd_eisenstein)
 
     p = sub.add_parser("delta", parents=[common], help="the discriminant cusp form")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_parse_int, required=True)
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("reduce", parents=[common], help="reduce a point into the fundamental domain")
@@ -350,7 +360,7 @@ def build_parser():
     p.set_defaults(func=cmd_mckay)
 
     p = sub.add_parser("knz", parents=[common], help="verify the two-variable product identity")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_parse_int, required=True)
     p.add_argument("--use-unnormalized-c0", action="store_true",
                    help="negative control: use c(0) = 744 in the exponents")
     p.set_defaults(func=cmd_knz)

@@ -146,17 +146,8 @@ class Perm:
         return sum(1 for i, j in enumerate(self.images) if i == j)
 
     def cycle_type(self):
-        seen = [False] * len(self.images)
-        lengths = []
-        for i in range(len(self.images)):
-            if seen[i]:
-                continue
-            n, j = 0, i
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j]
-                n += 1
-            lengths.append(n)
+        lengths = [len(c) for c in _cycles(self.images)]
+        lengths += [1] * (len(self.images) - sum(lengths))
         return tuple(sorted(lengths, reverse=True))
 
     def order(self) -> int:
@@ -175,19 +166,24 @@ class Perm:
         images = self.images
         if len(_POINT_NAMES) < len(images):
             _POINT_NAMES.extend(map(str, range(len(_POINT_NAMES), len(images))))
-        cycles = []
-        seen = [False] * len(images)
-        for i in range(len(images)):
-            if seen[i] or images[i] == i:
-                seen[i] = True
-                continue
-            cyc, j = [], i
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = images[j]
-            cycles.append("(" + " ".join(_take(_POINT_NAMES, cyc)) + ")")
-        return "".join(cycles) or "()"
+        return "".join("(" + " ".join(_take(_POINT_NAMES, c)) + ")"
+                       for c in _cycles(images)) or "()"
+
+
+def _cycles(images):
+    """Each cycle longer than 1 of the permutation with these ``images``, as
+    a list of points starting from its least point, in the order of those
+    points."""
+    seen = [False] * len(images)
+    for i in range(len(images)):
+        if seen[i] or images[i] == i:
+            continue
+        cycle, j = [], i
+        while not seen[j]:
+            seen[j] = True
+            cycle.append(j)
+            j = images[j]
+        yield cycle
 
 
 # str(i) for every point 0, 1, ... of the largest degree a Perm was spelled
@@ -653,13 +649,16 @@ class PermGroup:
         if not self.is_normal(n):
             raise NotNormal("subgroup is not normal")
         t = self._table()
-        # x N is the orbit of x under right multiplication by N's generators.
-        cosets = list(_orbits(range(len(t.mul)), [[row[h] for row in t.mul]
-                                                  for h in t.generators(t.indices(n))]))
-        coset = {x: i for i, c in enumerate(cosets) for x in c}
-        images = [Perm._raw(tuple(coset[t.mul[t.index[g]][min(c)]] for c in cosets))
+        members = tuple(t.indices(n))
+        # x N, gathered from x's row, for each least x not yet in a coset
+        coset, reps = {}, []
+        for x in range(len(t.mul)):
+            if x not in coset:
+                coset.update(dict.fromkeys(_take(t.mul[x], members), len(reps)))
+                reps.append(x)
+        images = [Perm._raw(_take(coset, _take(t.mul[t.index[g]], reps)))
                   for g in self.generators]
-        return PermGroup(len(cosets), images)
+        return PermGroup(len(reps), images)
 
     def is_abelian(self) -> bool:
         return all(a * b == b * a for a in self.generators for b in self.generators)

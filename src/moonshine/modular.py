@@ -74,18 +74,14 @@ def _sigma_sieve(k: int, order: int) -> list[int]:
 _BERNOULLI: dict[int, Fraction] = {0: Fraction(1)}
 
 
-def _bernoulli_raw(n: int) -> Fraction:
-    for m in range(len(_BERNOULLI), n + 1):
-        total = sum(comb(m + 1, k) * _BERNOULLI[k] for k in range(m))
-        _BERNOULLI[m] = Fraction(-total, m + 1)
-    return _BERNOULLI[n]
-
-
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n for even n >= 2 (B_2 = 1/6, B_4 = -1/30)."""
     if n < 2 or n % 2:
         raise DomainError("bernoulli expects an even index >= 2")
-    return _bernoulli_raw(n)
+    for m in range(len(_BERNOULLI), n + 1):
+        total = sum(comb(m + 1, k) * _BERNOULLI[k] for k in range(m))
+        _BERNOULLI[m] = Fraction(-total, m + 1)
+    return _BERNOULLI[n]
 
 
 def eisenstein_normalized(weight: int, order: int) -> ModularFormExpansion:

@@ -138,7 +138,14 @@ BIG = "1" + "0" * 5000  # 10^5000, longer than the default int/str digit limit
     ["reduce", "--tau", f"{BIG},1"],
     ["reduce", "--tau", f"0,1/{BIG}"],
     ["lattice", "--b1", f"{BIG},1", "1,0", "--b2", "0,1", "1,0"],
-], ids=["word", "reduce", "reduce-denominator", "lattice"])
+    ["j", "--order", BIG],
+    ["eisenstein", "--weight", BIG, "--order", "3"],
+    ["eisenstein", "--weight", "4", "--order", BIG],
+    ["delta", "--order", BIG],
+    ["knz", "--order", BIG],
+    ["group", "--name", f"C{BIG}", "--action", "classes"],
+], ids=["word", "reduce", "reduce-denominator", "lattice", "j", "eisenstein-weight",
+        "eisenstein-order", "delta", "knz", "group"])
 def test_integers_past_the_digit_limit_exit_2(capsys, argv):
     limit = sys.get_int_max_str_digits()
     assert 0 < limit < 5001

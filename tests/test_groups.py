@@ -246,6 +246,25 @@ def test_perm_repr_names_points_at_every_degree():
     assert repr(Perm.from_cycles(12, (10, 11), (0, 5))) == "(0 5)(10 11)"
 
 
+@pytest.mark.parametrize("group", [symmetric_group(5), dihedral_group(12)], ids=["S5", "D12"])
+def test_cycle_type_and_order_match_powers(group):
+    # p^k fixes point i exactly when k is a multiple of the length of i's
+    # cycle, so the powers p, p^2, ..., e give each point's cycle length
+    for p in group.elements:
+        powers = [p]
+        while powers[-1] != group.identity:
+            powers.append(powers[-1] * p)
+        assert p.order() == len(powers)
+        lengths = [next(k for k, q in enumerate(powers, 1) if q(i) == i)
+                   for i in range(p.degree)]
+        expect = sorted((n for n in set(lengths) for _ in range(lengths.count(n) // n)),
+                        reverse=True)
+        assert p.cycle_type() == tuple(expect)
+    for degree, cycle_type in ((0, ()), (1, (1,))):
+        assert Perm.identity(degree).cycle_type() == cycle_type
+        assert Perm.identity(degree).order() == 1
+
+
 def test_constructor_orders():
     assert cyclic_group(12).order == 12
     assert cyclic_group(1).order == 1

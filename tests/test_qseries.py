@@ -10,7 +10,6 @@ from moonshine import MoonshineError, qseries
 from moonshine.groups import ClassFunction, class_fn_inner, symmetric_group, trivial_character
 from moonshine.monster import DataFormatError, IrrepDims
 from moonshine.qseries import (
-    KRONECKER_MIN_LEN,
     BiLaurentSeries,
     LaurentSeries,
     RectangleMismatch,
@@ -157,12 +156,10 @@ def _wide_series(rng, width, max_bits, fractions=False):
 
 
 def test_mul_matches_schoolbook_across_crossover():
-    # every width from 1 to past the crossover, so both kernels and the
-    # switch between them run, with coefficients up to about 2000 bits
-    assert KRONECKER_MIN_LEN > 1
+    # every width from 1 to 55, with coefficients up to about 2000 bits
     rng = random.Random(20261018)
-    for wa in range(1, 2 * KRONECKER_MIN_LEN + 8):
-        wb = rng.randint(1, 2 * KRONECKER_MIN_LEN + 8)
+    for wa in range(1, 56):
+        wb = rng.randint(1, 56)
         bits = rng.choice([8, 64, 300, 2000])
         a, b = _wide_series(rng, wa, bits), _wide_series(rng, wb, bits)
         prod = a * b
@@ -175,7 +172,7 @@ def test_mul_matches_schoolbook_wide_windows():
     for width, bits in [(64, 2000), (97, 40), (128, 800), (200, 16), (256, 2000),
                         (300, 120)]:
         a = _wide_series(rng, width, bits)
-        b = _wide_series(rng, rng.randint(KRONECKER_MIN_LEN, width), bits)
+        b = _wide_series(rng, rng.randint(24, width), bits)
         assert a * b == _schoolbook_mul(a, b)
         assert b * a == _schoolbook_mul(a, b)
 
@@ -183,7 +180,7 @@ def test_mul_matches_schoolbook_wide_windows():
 def test_mul_worst_case_digits():
     # every product digit at its largest magnitude: the packed digit width
     # must still hold it whatever the operand bit lengths are modulo 8
-    for n in (KRONECKER_MIN_LEN, 127):
+    for n in (24, 127):
         for bits_a in range(1, 18):
             for bits_b in (bits_a, bits_a + 3):
                 top_a, top_b = 2**bits_a - 1, 2**bits_b - 1
@@ -200,7 +197,7 @@ def test_mul_worst_case_digits():
 
 def test_mul_fraction_coefficients():
     rng = random.Random(3)
-    for width in (5, KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN, 60, 150):
+    for width in (5, 23, 24, 60, 150):
         a = _wide_series(rng, width, 200, fractions=True)
         b = _wide_series(rng, width + rng.randint(-3, 3), 200, fractions=True)
         prod = a * b
@@ -213,7 +210,7 @@ def test_mul_fraction_coefficients():
 
 def test_mul_zero_operands_and_valuations():
     rng = random.Random(1)
-    for width in (1, KRONECKER_MIN_LEN, 80):
+    for width in (1, 24, 80):
         a = _wide_series(rng, width, 100)
         z = LaurentSeries.zero(rng.randint(-4, 90))
         assert a * z == _schoolbook_mul(a, z)
@@ -243,10 +240,22 @@ def test_product_kernel_short_and_long_windows():
             assert qseries._product([Fraction(c) for c in a], b, width) == expect
 
 
+def test_every_width_packs_both_operands(monkeypatch):
+    # one kernel at every width: even a one- or two-term product is packed
+    packed, pack = [], qseries._pack
+    monkeypatch.setattr(qseries, "_pack", lambda c, nb: packed.append(list(c)) or pack(c, nb))
+    assert LaurentSeries([3]) * LaurentSeries([-5]) == LaurentSeries([-15])
+    assert packed == [[3], [-5]]
+    packed.clear()
+    prod = LaurentSeries([1, 2]) * LaurentSeries([Fraction(1, 2), 3])
+    assert prod == LaurentSeries([Fraction(1, 2), 4])
+    assert packed == [[1, 2], [1, 6]]
+
+
 def test_product_returns_integral_fractions_as_ints():
-    # (1/2 + q/3 + ...) * (2 + 3q + ...): the constant term is the int 1 in
-    # both the schoolbook and the Kronecker branch of the kernel
-    for width in (2, KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN, 3 * KRONECKER_MIN_LEN):
+    # (1/2 + q/3 + ...) * (2 + 3q + ...): the constant term is the int 1 at
+    # every width
+    for width in (2, 23, 24, 72):
         a = LaurentSeries([Fraction(1, 2), Fraction(1, 3)] + [Fraction(1, 6)] * (width - 2))
         b = LaurentSeries([2, 3] + [6 * (i % 5 - 2) for i in range(width - 2)])
         for prod in (a * b, b * a):
@@ -285,8 +294,7 @@ def test_invert_discriminant_head_against_long_division():
 def test_inverse_matches_long_division():
     rng = random.Random(20261018)
     leads = [1, -1, 2, 691, Fraction(3, 7), Fraction(-5, 2)]
-    widths = [1, 2, 3, 7, KRONECKER_MIN_LEN - 1, KRONECKER_MIN_LEN,
-              2 * KRONECKER_MIN_LEN + 1, 100]
+    widths = [1, 2, 3, 7, 23, 24, 49, 100]
     for lead in leads:
         for width in widths:
             coeffs = [lead] + [rng.randint(-10**6, 10**6) for _ in range(width - 1)]
@@ -305,7 +313,7 @@ def test_inverse_fraction_coefficients():
         a = _wide_series(rng, width, 60, fractions=True)
         assert a.inverse() == _long_division_inverse(a)
     # a round trip through a Fraction series comes back exactly
-    p = LaurentSeries([1, Fraction(1, 2)] + [0] * (2 * KRONECKER_MIN_LEN + 2))
+    p = LaurentSeries([1, Fraction(1, 2)] + [0] * 50)
     assert p.inverse().inverse() == p
 
 
@@ -537,6 +545,25 @@ def test_no_floats_anywhere():
     assert ClassFunction({0: Fraction(1, 2), 1: 1}).values == {0: Fraction(1, 2), 1: 1}
     with pytest.raises(DataFormatError, match=r"r_2"):
         IrrepDims((1, 2.5))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: LaurentSeries([1, 2], 0.5),
+    lambda: LaurentSeries([1, 2], 0, 2.0),
+    lambda: LaurentSeries([1, 2], Fraction(0), 2),
+    lambda: LaurentSeries([1, 2], True),
+    lambda: LaurentSeries.zero(3.0),
+    lambda: BiLaurentSeries({(0.5, 0): 1}, (0, 1, 0, 1)),
+    lambda: BiLaurentSeries({(0, Fraction(1)): 1}, (0, 1, 0, 1)),
+    lambda: BiLaurentSeries({(1.0, 0): 0}, (0, 1, 0, 1)),
+    lambda: BiLaurentSeries({}, (0, 1.5, 0, 1)),
+    lambda: BiLaurentSeries({(0, 0): 1}, (0, 1, False, 1)),
+], ids=["float-valuation", "float-trunc", "fraction-valuation", "bool-valuation",
+        "float-zero", "float-exponent", "fraction-exponent",
+        "float-exponent-of-zero-term", "float-bound", "bool-bound"])
+def test_series_exponents_must_be_integers(call):
+    with pytest.raises(TypeError, match="must be integers"):
+        call()
 
 
 @pytest.mark.parametrize("call", [
