@@ -15,14 +15,14 @@ propagates.  No budget or option is read from the environment.
 
 Each command, and each argument type that builds a library object, imports
 the one subsystem it uses when it runs, so a call loads only that subsystem:
-``group`` never loads the series code, and ``reduce`` no group code.
+``group`` never loads the series code, and ``reduce`` no group code.  Only
+--json loads ``json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 from fractions import Fraction
@@ -36,12 +36,16 @@ from ._errors import MoonshineError
 _DEFAULT_DIGIT_LIMIT = 4300
 
 
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def _check_digits(text):
     """Refuse an integer longer than the interpreter's int/str digit limit,
     which int() and Fraction() would report as malformed, echoing it whole,
     and a decimal exponent past it (or past ``_DEFAULT_DIGIT_LIMIT`` if the
     limit is off), for which Fraction() would build 10^e."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _digit_limit()
     text = text.replace("_", "")
     longest = max(map(len, re.findall(r"\d+", text)), default=0)
     if limit and longest > limit:
@@ -64,7 +68,12 @@ def _parse_int(text):
 
 
 def _parse_fraction(text):
-    _check_digits(text)
+    # A text no longer than the digit limit holds no longer run of digits,
+    # and an exponent needs an e, so only a text that could fail the check
+    # runs it (every text, with the limit off).
+    limit = _digit_limit()
+    if not limit or len(text) > limit or "e" in text or "E" in text:
+        _check_digits(text)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -302,6 +311,7 @@ def _render(args, record, text):
         raise MoonshineError(f"a result has more than {sys.get_int_max_str_digits()} digits, "
                              "the limit of sys.get_int_max_str_digits()") from None
     if args.json:
+        import json
         print(json.dumps(record, sort_keys=True))
     else:
         sys.stdout.writelines(f"{line}\n" for line in text(record))

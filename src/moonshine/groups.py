@@ -19,7 +19,9 @@ normal closure per cyclic subgroup (:meth:`CayleyTable.lattice`).  Each
 step sub < s of a chain is checked once per table, for normality and an
 abelian and a simple factor (:meth:`CayleyTable.factor`).  Public methods
 take and return frozensets of ``Perm``; the table works on frozensets of
-indices.
+indices.  An abelian group builds no table for ``is_simple`` or
+``jordan_holder_factors``: its factors are one C_p per prime p dividing the
+order, with multiplicity, so both are read off the order.
 
 ``bytes.translate`` maps every byte through one 256-entry table.  So an
 index map on at most ``BYTE_LIMIT`` = 256 points (closure images) or
@@ -71,8 +73,9 @@ JH_ORDER_LIMIT = 20160  # first order shared by non-isomorphic simple groups
 # Group order: S8 (40320) fits, S9 (362880) does not.
 ELEMENT_LIMIT = 100000
 # The two budgets below count entries, not bytes.  Peak RSS of one CLI call
-# on the largest admitted inputs (Python 3.11, x86-64): C4096 classes 224 MB,
-# S7 factors 215 MB, C4096 factors 275 MB, D2896 factors 407 MB.
+# on the largest admitted inputs (Python 3.11, x86-64): C4096 classes 147 MB,
+# C4096 factors 145 MB, S7 factors 215 MB, C4096 series 274 MB, D2896 factors
+# 405 MB.
 # Elements x degree while enumerating: C4096 (2^24) fits, C20000 (25 times
 # as many entries) does not.
 CLOSURE_LIMIT = 2 ** 24
@@ -223,6 +226,18 @@ def _divisors(n):
             if d * d != n:
                 out.append(n // d)
     return sorted(out)
+
+
+def _prime_factors(n):
+    """The prime factors of ``n`` >= 1 with multiplicity, ascending, by trial
+    division (n is at most ELEMENT_LIMIT)."""
+    out, p = [], 2
+    while p * p <= n:
+        while n % p == 0:
+            out.append(p)
+            n //= p
+        p += 1
+    return out + [n] if n > 1 else out
 
 
 def _budget(degree):
@@ -486,7 +501,8 @@ class CayleyTable:
             if sub <= s and self.is_normal_in(sub, s):
                 order = len(s) // len(sub)
                 abelian = self.is_abelian_over(s, sub)
-                simple = len(_divisors(order)) == 2 if abelian else self._classes_generate(sub, s)
+                simple = (len(_prime_factors(order)) == 1 if abelian
+                          else self._classes_generate(sub, s))
                 desc = FactorDescriptor(order, abelian, simple)
             self._factors[key] = desc
         return self._factors[key]
@@ -590,6 +606,7 @@ class PermGroup:
         self._maps = None
         self._classes = None
         self._cayley_table = None
+        self._chain = None
 
     def __repr__(self):
         return f"PermGroup({self.name}, degree={self.degree})"
@@ -664,19 +681,26 @@ class PermGroup:
         return all(a * b == b * a for a in self.generators for b in self.generators)
 
     def is_simple(self) -> bool:
-        """Whether the group has exactly the two trivial normal subgroups,
-        decided by the table's step check (``CayleyTable.factor``) on G/{e};
-        the identity has index 0."""
-        t = self._table()
-        if len(t.all) == 1:
+        """Whether the group has exactly the two trivial normal subgroups: for
+        an abelian group, whether its order is prime; otherwise decided by
+        the table's step check (``CayleyTable.factor``) on G/{e}, where the
+        identity has index 0."""
+        n = self.order
+        if n == 1:
             raise DomainError("the trivial group is conventionally not simple")
+        if self.is_abelian():
+            return len(_prime_factors(n)) == 1
+        t = self._table()
         return t.factor(frozenset({0}), t.all).is_simple
 
     def _series(self):
         """The chain of ``composition_series`` as index sets, and each step's
-        factor descriptor from the top down.  The table's own step check
-        (``CayleyTable.factor``), not the lattice that chose the step, must
-        find it normal with a simple factor, or AssertionError is raised."""
+        factor descriptor from the top down, walked once per group.  The
+        table's own step check (``CayleyTable.factor``), not the lattice
+        that chose the step, must find it normal with a simple factor, or
+        AssertionError is raised."""
+        if self._chain is not None:
+            return self._chain
         t = self._table()
         chain, descs = [t.all], []
         while len(chain[-1]) > 1:
@@ -691,7 +715,8 @@ class PermGroup:
             chain.append(sub)
             descs.append(desc)
         chain.reverse()
-        return chain, descs
+        self._chain = chain, descs
+        return self._chain
 
     def composition_series(self):
         """A chain [{e}, ..., G] with simple factors, chosen deterministically.
@@ -732,8 +757,12 @@ class PermGroup:
         return tuple(sorted(descs))
 
     def jordan_holder_factors(self):
-        """The factor multiset of any composition series, as a sorted tuple."""
-        descs = tuple(sorted(self._series()[1]))
+        """The factor multiset of any composition series, as a sorted tuple;
+        an abelian group's is read off its order, with no table."""
+        if self.is_abelian():
+            descs = tuple(FactorDescriptor(p, True, True) for p in _prime_factors(self.order))
+        else:
+            descs = tuple(sorted(self._series()[1]))
         for d in descs:
             if d.order >= JH_ORDER_LIMIT:
                 raise OrderTooLarge(f"factor order {d.order} >= {JH_ORDER_LIMIT}")

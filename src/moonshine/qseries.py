@@ -50,6 +50,11 @@ def _norm(c):
     raise TypeError(f"exact coefficient expected, got {type(c).__name__}")
 
 
+def _check_exponents(valuation, trunc):
+    if type(valuation) is not int or type(trunc) is not int:
+        raise TypeError(f"series exponents must be integers, not {valuation!r} and {trunc!r}")
+
+
 def coeff_denominator(c) -> int:
     """Denominator of an exact coefficient (1 for plain ints)."""
     return c.denominator if isinstance(c, Fraction) else 1
@@ -130,8 +135,7 @@ class LaurentSeries:
         coeffs = [_norm(c) for c in coeffs]
         if trunc is None:
             trunc = valuation + len(coeffs)
-        if type(valuation) is not int or type(trunc) is not int:
-            raise TypeError(f"series exponents must be integers, not {valuation!r} and {trunc!r}")
+        _check_exponents(valuation, trunc)
         if trunc != valuation + len(coeffs):
             raise DomainError("coefficients must cover the window [valuation, trunc)")
         self._set(coeffs, valuation, trunc)
@@ -157,6 +161,7 @@ class LaurentSeries:
 
     @classmethod
     def constant(cls, value, trunc):
+        _check_exponents(0, trunc)
         if trunc <= 0:
             return cls.zero(trunc)
         return cls([value] + [0] * (trunc - 1), 0, trunc)
@@ -169,6 +174,7 @@ class LaurentSeries:
     def monomial(cls, exponent, coeff=1, trunc=None):
         if trunc is None:
             trunc = exponent + 1
+        _check_exponents(exponent, trunc)
         if trunc <= exponent:
             return cls.zero(trunc)
         return cls([coeff] + [0] * (trunc - exponent - 1), exponent, trunc)
@@ -270,7 +276,7 @@ class LaurentSeries:
         return LaurentSeries._make(g, -self.valuation, self.trunc - 2 * self.valuation)
 
     def __pow__(self, e):
-        if not isinstance(e, int):
+        if type(e) is not int:
             raise TypeError("series powers must be integers")
         if e < 0:
             return self.inverse() ** (-e)
@@ -290,7 +296,7 @@ class LaurentSeries:
 
     def shift(self, k):
         """Multiply by q^k (shifts the whole window by k)."""
-        if not isinstance(k, int):
+        if type(k) is not int:
             raise TypeError("series shifts must be integers")
         return LaurentSeries._make(self.coeffs, self.valuation + k, self.trunc + k)
 

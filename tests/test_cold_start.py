@@ -18,17 +18,18 @@ SRC = str(Path(moonshine.__file__).resolve().parents[1])
 SUBSYSTEMS = ("groups", "modular", "qseries", "monster", "sl2z")
 
 
-def loaded_after(code):
-    """The moonshine submodules, and whether ``dataclasses`` is loaded, in a
-    fresh interpreter after running ``code``."""
-    probe = (f"{code}\nimport json, sys\n"
+def loaded_after(code, module="dataclasses"):
+    """The moonshine submodules, and whether ``module`` is loaded, in a fresh
+    interpreter after running ``code``; ``module`` is looked up before the
+    probe imports ``json`` itself."""
+    probe = (f"{code}\nimport sys\nloaded = {module!r} in sys.modules\nimport json\n"
              "print(json.dumps([sorted(m for m in sys.modules if m.startswith('moonshine.')),"
-             " 'dataclasses' in sys.modules]))")
+             " loaded]))")
     env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    modules, dataclasses = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {m.removeprefix("moonshine.") for m in modules}, dataclasses
+    modules, loaded = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {m.removeprefix("moonshine.") for m in modules}, loaded
 
 
 def test_import_loads_no_subsystem():
@@ -44,6 +45,14 @@ def test_group_call_loads_only_the_group_code():
     assert "groups" in modules
     assert not modules & {"modular", "qseries", "monster", "sl2z"}
     assert not dataclasses
+
+
+@pytest.mark.parametrize("flags, loaded", [([], False), (["--json"], True)], ids=["text", "json"])
+def test_only_json_output_loads_json(flags, loaded):
+    argv = ["group", "--name", "C12", "--action", "factors", *flags]
+    _, json_loaded = loaded_after(f"from moonshine import cli\nassert cli.main({argv!r}) == 0",
+                                  module="json")
+    assert json_loaded is loaded
 
 
 def test_reduce_call_loads_no_group_or_series_code():

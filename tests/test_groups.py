@@ -25,7 +25,7 @@ from moonshine.groups import (
     symmetric_group,
     trivial_character,
 )
-from moonshine.groups import BYTE_LIMIT, CayleyTable, _enumerate
+from moonshine.groups import BYTE_LIMIT, TABLE_LIMIT, CayleyTable, _enumerate
 
 
 
@@ -865,3 +865,69 @@ def test_jordan_holder_factors_converts_no_element_sets(monkeypatch):
     for g, orders in ((symmetric_group(4), [2, 2, 2, 3]), (dihedral_group(12), [2, 2, 2, 3]),
                       (cyclic_group(60), [2, 2, 3, 5])):
         assert [d.order for d in g.jordan_holder_factors()] == orders, g.name
+
+
+def _abelian(*orders):
+    """C_n1 x C_n2 x ..., each factor a cycle on its own block of points."""
+    blocks, start = [], 0
+    for n in orders:
+        blocks.append(tuple(range(start, start + n)))
+        start += n
+    return PermGroup(start, [Perm.from_cycles(start, b) for b in blocks],
+                     name="x".join(f"C{n}" for n in orders))
+
+
+def test_abelian_factors_match_the_chain_walk():
+    # Read off the order, the factors equal those of the checked chain walk
+    # over the table and of the Perm oracle on the same chain.
+    abelian = [cyclic_group(n) for n in range(1, 201)]
+    abelian += [alternating_group(n) for n in (1, 2, 3)] + [symmetric_group(n) for n in (1, 2)]
+    abelian += [_abelian(*orders) for orders in ((2, 2), (2, 4), (3, 3), (2, 2, 2), (2, 6))]
+    for g in abelian:
+        assert g.is_abelian(), g.name
+        factors = g.jordan_holder_factors()
+        assert g._cayley_table is None, g.name
+        chain = g.composition_series()
+        assert factors == g.factor_descriptors(chain) == _oracle_descriptors(chain), g.name
+        if g.order > 1:
+            assert g.is_simple() == (len(g.normal_subgroups()) == 2), g.name
+
+
+def test_abelian_factors_and_simplicity_build_no_table(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("a Cayley table was built")
+
+    monkeypatch.setattr(CayleyTable, "__init__", refuse)
+    for g, orders in ((cyclic_group(1), []), (cyclic_group(2), [2]), (cyclic_group(12), [2, 2, 3]),
+                      (cyclic_group(1000), [2, 2, 2, 5, 5, 5]), (cyclic_group(4001), [4001]),
+                      (_abelian(2, 2), [2, 2]), (_abelian(2, 6), [2, 2, 3]),
+                      (alternating_group(3), [3]), (symmetric_group(2), [2])):
+        assert [d.order for d in g.jordan_holder_factors()] == orders, g.name
+        if g.order > 1:
+            assert g.is_simple() == (len(orders) == 1), g.name
+    with pytest.raises(AssertionError, match="table was built"):
+        symmetric_group(3).jordan_holder_factors()  # not abelian: the chain walk
+
+
+def test_elementary_abelian_past_the_table_budget():
+    g = _abelian(*[2] * 13)
+    assert g.order ** 2 > TABLE_LIMIT
+    assert g.jordan_holder_factors() == (FactorDescriptor(2, True, True),) * 13
+    assert not g.is_simple()
+    with pytest.raises(CapExceeded, match="TABLE_LIMIT"):
+        g.composition_series()
+
+
+@pytest.mark.parametrize("build, steps", [
+    (lambda: symmetric_group(5), 2), (lambda: dihedral_group(12), 4)], ids=["S5", "D12"])
+def test_series_walks_the_lattice_once_per_group(monkeypatch, build, steps):
+    calls = []
+    maximal_normals = CayleyTable.maximal_normals
+    monkeypatch.setattr(CayleyTable, "maximal_normals",
+                        lambda self, s: calls.append(s) or maximal_normals(self, s))
+    g = build()
+    chain = g.composition_series()
+    factors = g.jordan_holder_factors()
+    assert g.composition_series() == chain
+    assert len(calls) == len(chain) - 1 == steps
+    assert factors == g.factor_descriptors(chain)

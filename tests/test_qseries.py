@@ -566,6 +566,22 @@ def test_series_exponents_must_be_integers(call):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: LaurentSeries.monomial(1.0), "integers, not 1.0 and 2.0"),
+    (lambda: LaurentSeries.monomial(2, 1, 4.0), "integers, not 2 and 4.0"),
+    (lambda: LaurentSeries.monomial(0, 1, Fraction(3)), "integers, not 0 and Fraction"),
+    (lambda: LaurentSeries.constant(5, 2.0), "integers, not 0 and 2.0"),
+    (lambda: LaurentSeries([1, 2]).shift(True), "shifts must be integers"),
+    (lambda: LaurentSeries([1, 2]) ** True, "powers must be integers"),
+], ids=["float-monomial", "float-monomial-trunc", "fraction-monomial-trunc",
+        "float-constant-trunc", "bool-shift", "bool-power"])
+def test_series_builders_and_moves_name_a_non_int_exponent(call, message):
+    # Refused with the constructor's message before a coefficient list is
+    # built, and a bool is refused as the constructors refuse it.
+    with pytest.raises(TypeError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("call", [
     lambda: LaurentSeries([1, 2], 0, 5),
     lambda: LaurentSeries([1, 2]) / 0,
