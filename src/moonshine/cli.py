@@ -36,16 +36,12 @@ from ._errors import MoonshineError
 _DEFAULT_DIGIT_LIMIT = 4300
 
 
-def _digit_limit():
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
 def _check_digits(text):
     """Refuse an integer longer than the interpreter's int/str digit limit,
     which int() and Fraction() would report as malformed, echoing it whole,
     and a decimal exponent past it (or past ``_DEFAULT_DIGIT_LIMIT`` if the
     limit is off), for which Fraction() would build 10^e."""
-    limit = _digit_limit()
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     text = text.replace("_", "")
     longest = max(map(len, re.findall(r"\d+", text)), default=0)
     if limit and longest > limit:
@@ -68,12 +64,7 @@ def _parse_int(text):
 
 
 def _parse_fraction(text):
-    # A text no longer than the digit limit holds no longer run of digits,
-    # and an exponent needs an e, so only a text that could fail the check
-    # runs it (every text, with the limit off).
-    limit = _digit_limit()
-    if not limit or len(text) > limit or "e" in text or "E" in text:
-        _check_digits(text)
+    _check_digits(text)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

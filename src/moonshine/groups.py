@@ -606,7 +606,6 @@ class PermGroup:
         self._maps = None
         self._classes = None
         self._cayley_table = None
-        self._chain = None
 
     def __repr__(self):
         return f"PermGroup({self.name}, degree={self.degree})"
@@ -695,12 +694,9 @@ class PermGroup:
 
     def _series(self):
         """The chain of ``composition_series`` as index sets, and each step's
-        factor descriptor from the top down, walked once per group.  The
-        table's own step check (``CayleyTable.factor``), not the lattice
-        that chose the step, must find it normal with a simple factor, or
-        AssertionError is raised."""
-        if self._chain is not None:
-            return self._chain
+        factor descriptor from the top down.  The table's own step check
+        (``CayleyTable.factor``), not the lattice that chose the step, must
+        find it normal with a simple factor, or AssertionError is raised."""
         t = self._table()
         chain, descs = [t.all], []
         while len(chain[-1]) > 1:
@@ -715,8 +711,7 @@ class PermGroup:
             chain.append(sub)
             descs.append(desc)
         chain.reverse()
-        self._chain = chain, descs
-        return self._chain
+        return chain, descs
 
     def composition_series(self):
         """A chain [{e}, ..., G] with simple factors, chosen deterministically.

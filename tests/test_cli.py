@@ -181,18 +181,6 @@ def test_decimal_exponents_past_the_digit_limit_exit_2(capsys, tau):
     _one_error_line(capsys, ["reduce", "--tau", tau], "decimal exponent of 5000")
 
 
-def test_rationals_run_the_digit_check_only_when_they_could_fail_it(capsys, monkeypatch):
-    # A text no longer than the limit and without an exponent cannot fail
-    # the check, so it is not run; a text that can fail it still does.
-    checked = []
-    check = cli._check_digits
-    monkeypatch.setattr(cli, "_check_digits", lambda text: checked.append(text) or check(text))
-    code, out = run_cli(capsys, "reduce", "--tau", "7/3,1/5")
-    assert code == 0 and out.startswith("tau -7/34 45/34\n") and checked == []
-    _one_error_line(capsys, ["reduce", "--tau", "1e5000,1"], "decimal exponent of 5000")
-    assert checked == ["1e5000"]
-
-
 def test_decimal_exponents_bounded_with_the_digit_limit_off(capsys):
     # with the limit switched off, CPython's default 4300 bounds the exponent
     limit = sys.get_int_max_str_digits()

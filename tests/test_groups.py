@@ -917,17 +917,3 @@ def test_elementary_abelian_past_the_table_budget():
     with pytest.raises(CapExceeded, match="TABLE_LIMIT"):
         g.composition_series()
 
-
-@pytest.mark.parametrize("build, steps", [
-    (lambda: symmetric_group(5), 2), (lambda: dihedral_group(12), 4)], ids=["S5", "D12"])
-def test_series_walks_the_lattice_once_per_group(monkeypatch, build, steps):
-    calls = []
-    maximal_normals = CayleyTable.maximal_normals
-    monkeypatch.setattr(CayleyTable, "maximal_normals",
-                        lambda self, s: calls.append(s) or maximal_normals(self, s))
-    g = build()
-    chain = g.composition_series()
-    factors = g.jordan_holder_factors()
-    assert g.composition_series() == chain
-    assert len(calls) == len(chain) - 1 == steps
-    assert factors == g.factor_descriptors(chain)
