@@ -10,6 +10,9 @@ and pickle and copy rebuild a record through its ``__init__``.  Nothing is
 generated when a class is created, so importing a module that defines
 records costs no more than its class statements.  The ``dataclasses``
 helpers (``fields``, ``replace``, ``is_dataclass``) do not apply.
+
+Every value class is a record, the two series included, except ``groups.Perm``,
+whose own ``==`` and cached hash are the group core's hot path.
 """
 
 from operator import attrgetter, eq

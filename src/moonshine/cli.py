@@ -71,23 +71,19 @@ def _parse_fraction(text):
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _parse_point(text):
-    from . import sl2z
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected a point as x,y with rational parts")
-    x, y = (_parse_fraction(p) for p in parts)
-    try:
-        return sl2z.UpperHalfPoint(x, y)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
 def _parse_complex(text):
     parts = text.split(",")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected a complex number as re,im")
+        raise argparse.ArgumentTypeError("expected two rationals as x,y")
     return tuple(_parse_fraction(p) for p in parts)
+
+
+def _parse_point(text):
+    from . import sl2z
+    try:
+        return sl2z.UpperHalfPoint(*_parse_complex(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_matrix(text):
@@ -95,11 +91,7 @@ def _parse_matrix(text):
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("expected a matrix as a,b,c,d")
-    _check_digits(text)
-    try:
-        entries = [int(p) for p in parts]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("matrix entries must be integers") from exc
+    entries = [_parse_int(p) for p in parts]
     try:
         return sl2z.PSLElement(sl2z.Mat2Z(*entries))
     except ValueError as exc:
@@ -369,6 +361,10 @@ def build_parser():
     p = sub.add_parser("facts", parents=[common], help="documented monster constants")
     p.set_defaults(func=cmd_facts)
 
+    # argparse takes -7/3,1/5 or -1,0 for an option, as it is no plain negative
+    # number.  No option here starts with "-" and a digit: such text is a value.
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

@@ -16,14 +16,19 @@ Two-variable products sort the shorter operand by p-exponent and, for each
 term of the other, stop at the first partner whose product leaves the
 rectangle in p; the q-bounds are tested per pair.  Zero sums are dropped,
 integral Fractions are stored as ints, and the result is not re-validated.
+
+Both series are records (see :mod:`moonshine._record`), and the terms of a
+two-variable series are a read-only mapping view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 
 from ._errors import DomainError, MoonshineError
+from ._record import Record, setfield
 
 
 class ZeroLeadingCoefficient(MoonshineError, ArithmeticError):
@@ -116,7 +121,7 @@ def _unpack(value, count, nb):
     return [int.from_bytes(raw[i:i + nb], "little") - half for i in range(0, size, nb)]
 
 
-class LaurentSeries:
+class LaurentSeries(Record):
     """A Laurent series known exactly on the exponent window [valuation, trunc).
 
     ``trunc`` is the exponent of the first *unknown* term.  Querying a
@@ -126,10 +131,10 @@ class LaurentSeries:
 
     The zero series is the sentinel with an empty coefficient tuple and a
     recorded ``trunc`` (its ``valuation`` equals ``trunc`` by convention).
-    Instances are immutable; every operation returns a new series.
+    Instances are immutable records; every operation returns a new series.
     """
 
-    __slots__ = ("valuation", "coeffs", "trunc")
+    __slots__ = ("coeffs", "valuation", "trunc")
 
     def __init__(self, coeffs, valuation=0, trunc=None):
         coeffs = [_norm(c) for c in coeffs]
@@ -144,9 +149,9 @@ class LaurentSeries:
         lead = 0
         while lead < len(coeffs) and coeffs[lead] == 0:
             lead += 1
-        self.coeffs = tuple(coeffs[lead:])
-        self.valuation = valuation + lead if self.coeffs else trunc
-        self.trunc = trunc
+        setfield(self, "coeffs", tuple(coeffs[lead:]))
+        setfield(self, "valuation", valuation + lead if self.coeffs else trunc)
+        setfield(self, "trunc", trunc)
 
     @classmethod
     def _make(cls, coeffs, valuation, trunc):
@@ -302,6 +307,7 @@ class LaurentSeries:
 
     def truncate(self, new_trunc):
         """Restrict the known window to exponents below ``new_trunc``."""
+        _check_exponents(self.valuation, new_trunc)
         if new_trunc > self.trunc:
             raise DomainError("cannot extend a series window by truncation")
         if new_trunc == self.trunc:
@@ -310,15 +316,7 @@ class LaurentSeries:
             return LaurentSeries.zero(new_trunc)
         return LaurentSeries._make(self.coeffs[: new_trunc - self.valuation], self.valuation, new_trunc)
 
-    # -- comparisons / display ------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentSeries):
-            return NotImplemented
-        return (self.valuation, self.coeffs, self.trunc) == (other.valuation, other.coeffs, other.trunc)
-
-    def __hash__(self):
-        return hash((self.valuation, self.coeffs, self.trunc))
+    # -- display ---------------------------------------------------------------
 
     def __repr__(self):
         parts = []
@@ -338,12 +336,13 @@ class LaurentSeries:
         return f"LaurentSeries({body} + O(q^{self.trunc}))"
 
 
-class BiLaurentSeries:
+class BiLaurentSeries(Record):
     """Sparse two-variable Laurent series on a rectangle of exponents.
 
     ``rect`` is ``(pmin, pmax, qmin, qmax)``; keys of ``terms`` are ``(m, n)``
     for the monomial p^m q^n.  Products falling outside the rectangle are
     never formed: the rectangle is the two-variable truncation window.
+    ``terms`` is a read-only view, so a series cannot change once built.
     """
 
     __slots__ = ("terms", "rect")
@@ -364,15 +363,15 @@ class BiLaurentSeries:
             if not (pmin <= m <= pmax and qmin <= n <= qmax):
                 raise DomainError(f"exponent ({m}, {n}) outside rectangle {rect}")
             store[(m, n)] = c
-        self.terms = store
-        self.rect = (pmin, pmax, qmin, qmax)
+        setfield(self, "terms", MappingProxyType(store))
+        setfield(self, "rect", (pmin, pmax, qmin, qmax))
 
     @classmethod
     def _make(cls, terms, rect):
-        """A series from nonzero normalized terms inside ``rect``, unchecked."""
+        """A series viewing a new dict of nonzero normalized terms in ``rect``, unchecked."""
         s = cls.__new__(cls)
-        s.terms = terms
-        s.rect = rect
+        setfield(s, "terms", MappingProxyType(terms))
+        setfield(s, "rect", rect)
         return s
 
     def coefficient(self, m, n):
@@ -407,13 +406,13 @@ class BiLaurentSeries:
         terms = {k: c if type(c) is int else _norm(c) for k, c in out.items() if c}
         return BiLaurentSeries._make(terms, self.rect)
 
-    def __eq__(self, other):
-        if not isinstance(other, BiLaurentSeries):
-            return NotImplemented
-        return self.rect == other.rect and self.terms == other.terms
-
     def __hash__(self):
+        # Record's hash would hash the terms view, which is unhashable.
         return hash((self.rect, tuple(sorted(self.terms.items()))))
+
+    def __reduce__(self):
+        # A mappingproxy cannot be pickled; the constructor takes a dict.
+        return self.__class__, (dict(self.terms), self.rect)
 
     def __repr__(self):
         items = sorted(self.terms.items())[:6]

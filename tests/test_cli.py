@@ -123,6 +123,34 @@ def test_word(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("argv, lines", [
+    (["lattice", "--b1", "-1,0", "0,1", "--b2", "0,1", "-1,0"],
+     ["same-lattice true", "matrix 0 1 1 0"]),
+    (["reduce", "--tau", "-7/3,1/5"], ["tau 7/34 45/34", "matrix -2 -5 1 2", "word T^-2 S T^2"]),
+    (["equiv", "--tau1", "-1/2,1", "--tau2", "1/2,1"], ["equivalent true", "matrix 1 1 0 1"]),
+    (["word", "--matrix", "-1,1,-1,0"], ["word T S"]),
+    (["reduce", "--tau", "-.5,1"], ["tau -1/2 1/1", "matrix 1 0 0 1", "word 1"]),
+], ids=["lattice", "reduce", "equiv", "word", "reduce-decimal"])
+def test_values_that_begin_with_a_minus_sign(capsys, argv, lines):
+    # argparse alone would read each of these values as an unknown option
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and out.splitlines() == lines
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", "--tau", "-x,1"], "argument --tau: expected one argument"),
+    (["word", "--matrix", "1,1.5,0,1"], "argument --matrix: invalid int value: '1.5'"),
+], ids=["option-like-value", "fractional-matrix-entry"])
+def test_malformed_values_are_one_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    usage, error = captured.err.splitlines()
+    assert captured.out == "" and usage.startswith(f"usage: moonshine {argv[0]} ")
+    assert error == f"moonshine {argv[0]}: error: {message}"
+
+
 def test_word_rejects_non_unimodular(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["word", "--matrix", "2,0,0,2"])

@@ -8,7 +8,7 @@ import pytest
 
 from moonshine import MoonshineError, qseries
 from moonshine.groups import ClassFunction, class_fn_inner, symmetric_group, trivial_character
-from moonshine.monster import DataFormatError, IrrepDims
+from moonshine.monster import DataFormatError, IrrepDims, knz_verify
 from moonshine.qseries import (
     BiLaurentSeries,
     LaurentSeries,
@@ -526,6 +526,18 @@ def test_bls_coefficient():
         f.coefficient(3, 0)
 
 
+def test_bls_terms_are_read_only():
+    s = BiLaurentSeries({(0, 0): 1}, (0, 1, 0, 1))
+    with pytest.raises(TypeError):
+        s.terms[(0, 1)] = Fraction(1, 2)
+    r = knz_verify(2)
+    with pytest.raises(TypeError):
+        r.lhs.terms[(0, 0)] = 1.5
+    with pytest.raises(TypeError):
+        del (s * s).terms[(0, 0)]
+    assert r.equal and r.lhs == r.rhs and s.terms == {(0, 0): 1}
+
+
 def test_bls_rejects_out_of_rectangle_keys():
     with pytest.raises(ValueError):
         BiLaurentSeries({(5, 0): 1}, (0, 2, 0, 2))
@@ -573,8 +585,12 @@ def test_series_exponents_must_be_integers(call):
     (lambda: LaurentSeries.constant(5, 2.0), "integers, not 0 and 2.0"),
     (lambda: LaurentSeries([1, 2]).shift(True), "shifts must be integers"),
     (lambda: LaurentSeries([1, 2]) ** True, "powers must be integers"),
+    (lambda: LaurentSeries([1, 2, 3]).truncate(True), "integers, not 0 and True"),
+    (lambda: LaurentSeries([1, 2, 3]).truncate(1.5), "integers, not 0 and 1.5"),
+    (lambda: LaurentSeries([1, 2, 3]).truncate(3.0), "integers, not 0 and 3.0"),
 ], ids=["float-monomial", "float-monomial-trunc", "fraction-monomial-trunc",
-        "float-constant-trunc", "bool-shift", "bool-power"])
+        "float-constant-trunc", "bool-shift", "bool-power", "bool-truncate",
+        "float-truncate", "whole-float-truncate"])
 def test_series_builders_and_moves_name_a_non_int_exponent(call, message):
     # Refused with the constructor's message before a coefficient list is
     # built, and a bool is refused as the constructors refuse it.
