@@ -362,9 +362,10 @@ def build_parser():
     p.set_defaults(func=cmd_facts)
 
     # argparse takes -7/3,1/5 or -1,0 for an option, as it is no plain negative
-    # number.  No option here starts with "-" and a digit: such text is a value.
+    # number.  The only option here with a single "-" is -h, which argparse
+    # matches first as an exact option string, so other such text is a value.
     for each in (parser, *sub.choices.values()):
-        each._negative_number_matcher = re.compile(r"^-\.?\d")
+        each._negative_number_matcher = re.compile(r"^-[^-]")
     return parser
 
 

@@ -46,7 +46,7 @@ from itertools import accumulate, combinations
 from operator import ge, gt, itemgetter, le, lt, methodcaller, mul
 
 from ._errors import DomainError, MoonshineError
-from ._record import Record, compare, setfield
+from ._record import Record, compare
 
 
 class CapExceeded(MoonshineError, RuntimeError):
@@ -328,10 +328,6 @@ def _enumerate(gens, degree):
 class ConjClass(Record):
     __slots__ = ("representative", "members")
 
-    def __init__(self, representative: Perm, members: frozenset):
-        setfield(self, "representative", representative)
-        setfield(self, "members", members)
-
     @property
     def size(self) -> int:
         return len(self.members)
@@ -342,11 +338,6 @@ class FactorDescriptor(Record):
     (order, is_abelian, is_simple)."""
 
     __slots__ = ("order", "is_abelian", "is_simple")
-
-    def __init__(self, order: int, is_abelian: bool, is_simple: bool):
-        setfield(self, "order", order)
-        setfield(self, "is_abelian", is_abelian)
-        setfield(self, "is_simple", is_simple)
 
     __lt__, __le__, __gt__, __ge__ = map(compare, (lt, le, gt, ge))
 
@@ -360,7 +351,7 @@ class ClassFunction(Record):
         for i, v in values.items():
             if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
                 raise TypeError(f"class function value {v!r} at class {i} is not exact")
-        setfield(self, "values", values)
+        super().__init__(values)
 
 
 # -- the index core ----------------------------------------------------------

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb
 
 from ._errors import DomainError, MoonshineError
-from ._record import Record, setfield
+from ._record import Record
 from .qseries import LaurentSeries
 
 
@@ -51,11 +51,6 @@ class ModularFormExpansion(Record):
     """A labelled q-expansion of a modular form or function."""
 
     __slots__ = ("label", "weight", "series")
-
-    def __init__(self, label: str, weight: int, series: LaurentSeries):
-        setfield(self, "label", label)
-        setfield(self, "weight", weight)
-        setfield(self, "series", series)
 
 
 def _sigma_sieve(k: int, order: int) -> list[int]:

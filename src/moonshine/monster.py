@@ -21,7 +21,7 @@ from enum import Enum
 from importlib import resources
 
 from ._errors import DomainError, MoonshineError
-from ._record import Record, setfield
+from ._record import Record
 from .modular import BudgetExceeded, j_normalized
 from .qseries import BiLaurentSeries
 
@@ -103,9 +103,7 @@ class CoeffTable(Record):
             raise DataFormatError("c(-1) must be 1")
         if normalized and values.get(0, 0) != 0:
             raise DataFormatError("normalized table must have c(0) = 0")
-        setfield(self, "values", values)
-        setfield(self, "provenance", provenance)
-        setfield(self, "normalized", normalized)
+        super().__init__(values, provenance, normalized)
 
     @classmethod
     def from_resource(cls) -> "CoeffTable":
@@ -119,7 +117,7 @@ class CoeffTable(Record):
 
     @property
     def max_index(self) -> int:
-        return max(self.values)
+        return len(self.values) - 2
 
     def has(self, n: int) -> bool:
         return n in self.values
@@ -156,7 +154,7 @@ class IrrepDims(Record):
         for i, (a, b) in enumerate(zip(dims, dims[1:]), 2):
             if a >= b:
                 raise DataFormatError(f"dimensions must increase, but r_{i} = {b} <= r_{i - 1}")
-        setfield(self, "dims", dims)
+        super().__init__(dims)
 
     @classmethod
     def from_resource(cls) -> "IrrepDims":
@@ -196,10 +194,6 @@ class Decomposition(Record):
 
     __slots__ = ("multiplicities", "total")
 
-    def __init__(self, multiplicities: tuple, total: int):
-        setfield(self, "multiplicities", multiplicities)
-        setfield(self, "total", total)
-
 
 class CheckStatus(Enum):
     PASS = "pass"
@@ -209,14 +203,6 @@ class CheckStatus(Enum):
 
 class IdentityCheck(Record):
     __slots__ = ("label", "q_exponent", "coefficient", "decomposition", "status")
-
-    def __init__(self, label: str, q_exponent: int, coefficient: int | None,
-                 decomposition: Decomposition | None, status: CheckStatus):
-        setfield(self, "label", label)
-        setfield(self, "q_exponent", q_exponent)
-        setfield(self, "coefficient", coefficient)
-        setfield(self, "decomposition", decomposition)
-        setfield(self, "status", status)
 
 
 # The five classical decomposition identities, as multiplicity vectors over
@@ -307,11 +293,6 @@ def decompose_bounded(target: int, dims: IrrepDims, max_mult: int, max_parts: in
 
 class KnzResult(Record):
     __slots__ = ("lhs", "rhs", "equal")
-
-    def __init__(self, lhs: BiLaurentSeries, rhs: BiLaurentSeries, equal: bool):
-        setfield(self, "lhs", lhs)
-        setfield(self, "rhs", rhs)
-        setfield(self, "equal", equal)
 
     def mismatches(self):
         """Sorted (m, n, lhs, rhs) for every monomial where the sides differ."""
@@ -426,14 +407,6 @@ MONSTER_ORDER_FACTORIZATION = (
 )
 
 
-def monster_order() -> int:
-    """The order of the monster group, from its prime factorization."""
-    out = 1
-    for p, e in MONSTER_ORDER_FACTORIZATION:
-        out *= p**e
-    return out
-
-
 class MonsterFacts(Record):
     """Documented constants about the monster; recorded, not computed."""
 
@@ -443,14 +416,17 @@ class MonsterFacts(Record):
     def __init__(self, order_factorization: tuple = MONSTER_ORDER_FACTORIZATION,
                  conjugacy_class_count: int = 194, distinct_mckay_thompson_series: int = 172,
                  mckay_thompson_span_dimension: int = 163):
-        setfield(self, "order_factorization", order_factorization)
-        setfield(self, "conjugacy_class_count", conjugacy_class_count)
-        setfield(self, "distinct_mckay_thompson_series", distinct_mckay_thompson_series)
-        setfield(self, "mckay_thompson_span_dimension", mckay_thompson_span_dimension)
+        super().__init__(order_factorization, conjugacy_class_count,
+                         distinct_mckay_thompson_series, mckay_thompson_span_dimension)
 
     @property
     def order(self) -> int:
-        return monster_order()
+        return math.prod(p**e for p, e in self.order_factorization)
 
 
 MONSTER_FACTS = MonsterFacts()
+
+
+def monster_order() -> int:
+    """The order of the monster group, from its prime factorization."""
+    return MONSTER_FACTS.order

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from types import MappingProxyType
 
 from ._errors import DomainError, MoonshineError
 from ._record import Record, setfield
@@ -363,15 +362,13 @@ class BiLaurentSeries(Record):
             if not (pmin <= m <= pmax and qmin <= n <= qmax):
                 raise DomainError(f"exponent ({m}, {n}) outside rectangle {rect}")
             store[(m, n)] = c
-        setfield(self, "terms", MappingProxyType(store))
-        setfield(self, "rect", (pmin, pmax, qmin, qmax))
+        super().__init__(store, (pmin, pmax, qmin, qmax))
 
     @classmethod
     def _make(cls, terms, rect):
-        """A series viewing a new dict of nonzero normalized terms in ``rect``, unchecked."""
+        """A series of the nonzero normalized ``terms`` in ``rect``, unchecked."""
         s = cls.__new__(cls)
-        setfield(s, "terms", MappingProxyType(terms))
-        setfield(s, "rect", rect)
+        Record.__init__(s, terms, rect)
         return s
 
     def coefficient(self, m, n):
@@ -409,10 +406,6 @@ class BiLaurentSeries(Record):
     def __hash__(self):
         # Record's hash would hash the terms view, which is unhashable.
         return hash((self.rect, tuple(sorted(self.terms.items()))))
-
-    def __reduce__(self):
-        # A mappingproxy cannot be pickled; the constructor takes a dict.
-        return self.__class__, (dict(self.terms), self.rect)
 
     def __repr__(self):
         items = sorted(self.terms.items())[:6]

@@ -126,8 +126,8 @@ class LatticeBasis(Record):
     __slots__ = ("omega1", "omega2")
 
     def __init__(self, omega1: tuple[Fraction, Fraction], omega2: tuple[Fraction, Fraction]):
-        setfield(self, "omega1", (_frac(omega1[0]), _frac(omega1[1])))
-        setfield(self, "omega2", (_frac(omega2[0]), _frac(omega2[1])))
+        super().__init__((_frac(omega1[0]), _frac(omega1[1])),
+                         (_frac(omega2[0]), _frac(omega2[1])))
 
 
 def moebius(m: PSLElement, tau: UpperHalfPoint) -> UpperHalfPoint:

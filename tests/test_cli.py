@@ -138,7 +138,7 @@ def test_values_that_begin_with_a_minus_sign(capsys, argv, lines):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["reduce", "--tau", "-x,1"], "argument --tau: expected one argument"),
+    (["reduce", "--tau", "-x,1"], "argument --tau: not a rational number: '-x'"),
     (["word", "--matrix", "1,1.5,0,1"], "argument --matrix: invalid int value: '1.5'"),
 ], ids=["option-like-value", "fractional-matrix-entry"])
 def test_malformed_values_are_one_usage_error(capsys, argv, message):
